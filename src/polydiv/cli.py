@@ -184,7 +184,7 @@ def parse_market_csv(path, spot=None, valuation_date=None):
     except ValueError:
         raise MarketDataError(f"bad valuation date {valuation_date!r}")
 
-    futures, stock_iv, div_iv_rows = [], None, []
+    futures, stock_iv, div_iv_row = [], None, None
     seen = set()
     for row_no, line in enumerate(lines[1:], start=2):
         cells = [c.strip() for c in line.split(",")]
@@ -205,17 +205,21 @@ def parse_market_csv(path, spot=None, valuation_date=None):
                 raise MarketDataError(f"row {row_no}: window not ordered ({wstart} >= {wend})")
             futures.append(FuturesQuote(id=inst, t0=t0, t1=t1, quote=quote))
         elif kind == "stock_iv":
+            if stock_iv is not None:
+                raise MarketDataError(f"row {row_no}: second stock_iv row; only one is allowed")
             stock_iv = StockIvQuote(iv=quote, expiry=_year_fraction(valuation, expiry, row_no))
         elif kind == "dividend_iv":
+            if div_iv_row is not None:
+                raise MarketDataError(f"row {row_no}: second dividend_iv row; only one is allowed")
             t0 = _year_fraction(valuation, wstart, row_no)
             t1 = _year_fraction(valuation, wend, row_no)
-            div_iv_rows.append((quote, t0, t1, row_no))
+            div_iv_row = (quote, t0, t1, row_no)
         else:
             raise MarketDataError(f"row {row_no}: unknown instrument type {kind!r}")
 
     dividend_iv = None
-    if div_iv_rows:
-        quote, t0, t1, row_no = div_iv_rows[0]
+    if div_iv_row is not None:
+        quote, t0, t1, row_no = div_iv_row
         match = [f for f in futures if abs(f.t0 - t0) < 1e-12 and abs(f.t1 - t1) < 1e-12]
         if not match:
             raise MarketDataError(f"row {row_no}: dividend IV window matches no futures quote")

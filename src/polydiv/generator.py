@@ -7,10 +7,10 @@ the generator applied to H componentwise, and conditional moments follow
 from ``expm(G * dt) @ H(state)``.
 
 Monomials c^i x^j y^alpha are ordered graded-lexicographically with
-c < x < y_1 < ... < y_d, the constant monomial first.  The generator is
-degree-graded (each image term has the same total degree as its source),
-so the leading N_k x N_k block of G is exactly the generator on the
-degree <= k sub-basis.
+c < x < y_1 < ... < y_d, the constant monomial first.  The generator
+preserves total degree (each image term has the same total degree as its
+source), so G is block-diagonal over the degree blocks of the basis and
+each block can be exponentiated on its own.
 """
 
 import math
@@ -49,13 +49,18 @@ def _compositions(total, parts):
 
 @dataclass(frozen=True, eq=False)
 class PolyBasis:
-    """Ordered monomial basis of degree <= n in (c, x, y_1..y_d)."""
+    """Ordered monomial basis of degree <= n in (c, x, y_1..y_d).
+
+    ``blocks[k]`` is the slice of ``members`` holding the monomials of total
+    degree k.
+    """
 
     d: int
     n: int
     include_c: bool
     members: tuple
     _pos: dict = field(repr=False)
+    blocks: tuple = field(repr=False)
 
     @property
     def size(self):
@@ -95,7 +100,11 @@ def build_basis(d, n, include_c=True):
     members.sort(key=lambda m: (m.degree, tuple(-e for e in (m.i, m.j) + m.alpha)))
     members = tuple(members)
     pos = {m: k for k, m in enumerate(members)}
-    return PolyBasis(d=d, n=n, include_c=include_c, members=members, _pos=pos)
+    # members are sorted by degree, so each degree occupies one slice
+    degrees = [m.degree for m in members]
+    starts = [degrees.index(k) for k in range(n + 1)] + [len(members)]
+    blocks = tuple(slice(lo, hi) for lo, hi in zip(starts, starts[1:]))
+    return PolyBasis(d=d, n=n, include_c=include_c, members=members, _pos=pos, blocks=blocks)
 
 
 @dataclass(frozen=True, eq=False)

@@ -400,7 +400,7 @@ def _intrinsic(kind, level, strike):
     return max(level - strike, 0.0) if kind == "call" else max(strike - level, 0.0)
 
 
-def _price_from_moments(raw_moments, spec, n_moments):
+def _price_from_moments(raw_moments, kind, strike, discount, n_moments):
     """Discounted payoff integral against the maxent fit of the moments.
 
     Degenerate (zero-variance) underlyings price the point mass directly.
@@ -410,9 +410,8 @@ def _price_from_moments(raw_moments, spec, n_moments):
     """
     m1 = raw_moments[0]
     var = raw_moments[1] - m1 ** 2 if len(raw_moments) >= 2 else 0.0
-    discount = math.exp(-spec.rate * spec.expiry)
     if m1 <= 0 or var <= (_DEGENERATE_REL_STD * max(m1, 1.0)) ** 2:
-        return discount * _intrinsic(spec.kind, max(m1, 0.0), spec.strike)
+        return discount * _intrinsic(kind, max(m1, 0.0), strike)
     density = None
     for count in range(min(n_moments, len(raw_moments)), 1, -1):
         try:
@@ -421,7 +420,7 @@ def _price_from_moments(raw_moments, spec, n_moments):
         except ConvergenceError:
             if count == 2:
                 raise
-    value = integrate_payoff(density, _payoff_fn(spec.kind, spec.strike), points=(spec.strike,))
+    value = integrate_payoff(density, _payoff_fn(kind, strike), points=(strike,))
     return discount * value
 
 
@@ -432,15 +431,17 @@ def price_stock_option(params, jump, state, spec, n_moments):
     if n_moments < 2:
         raise InvalidParameterError(f"need at least two moments, got {n_moments}")
     raw = stock_price_moments(params, jump, state, 0.0, spec.expiry, n_moments)
-    return _price_from_moments(raw, spec, n_moments)
+    discount = math.exp(-spec.rate * spec.expiry)
+    return _price_from_moments(raw, spec.kind, spec.strike, discount, n_moments)
 
 
 def price_dividend_option(params, jump, state, spec, n_moments):
     """Price an option on dividends paid over spec.window, expiring at T1.
 
-    For a window that already started the state's ``c`` must be the accrual
-    since the window start (the usual normalization sets it to zero at the
-    valuation date).
+    For a window that already started (T0 < 0) the state's ``c`` must be the
+    accrual since the window start; the payoff is then on ``state.c`` plus
+    the dividends still to come, priced as an option on the latter with the
+    strike lowered by ``state.c``.
     """
     if spec.underlying != "dividend":
         raise InvalidParameterError("spec.underlying must be 'dividend'")
@@ -449,8 +450,9 @@ def price_dividend_option(params, jump, state, spec, n_moments):
     t0, t1 = spec.window
     if t1 < t0:
         raise InvalidParameterError(f"window must be ordered, got {spec.window}")
+    discount = math.exp(-spec.rate * spec.expiry)
     if t1 == t0:
-        discount = math.exp(-spec.rate * spec.expiry)
         return discount * _intrinsic(spec.kind, 0.0, spec.strike)
     raw = cumulative_dividend_moments(params, jump, state, 0.0, max(t0, 0.0), t1, n_moments)
-    return _price_from_moments(raw, spec, n_moments)
+    strike = spec.strike - (state.c if t0 < 0 else 0.0)
+    return _price_from_moments(raw, spec.kind, strike, discount, n_moments)

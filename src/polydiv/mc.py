@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InadmissibleParamsError, InvalidParameterError
+from .errors import ConfigError, DomainError, InadmissibleParamsError, InvalidParameterError
 from .model import PointMass, State, in_state_space, validate_admissibility
 from .moments import dividend_futures, stock_futures
 
@@ -70,11 +70,17 @@ class PathBundle:
 
 
 def _worker_count():
+    """Worker threads from ``POLYDIV_THREADS``: a positive integer, 1 if unset or empty."""
     env = os.environ.get("POLYDIV_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
+    if not env:
         return 1
+    try:
+        count = int(env)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ConfigError(f"POLYDIV_THREADS must be a positive integer, got {env!r}")
+    return count
 
 
 def _simulate_block(params, jump, state0, n, n_steps, dt, window_idx, rng, store_yields):
@@ -154,7 +160,9 @@ def simulate_paths(params, jump, state0, config, workers=None):
     The state is projected onto E after every step (factor clipping plus a
     proportional rescale at the yield cap); jumps are compensated compound
     Poisson applied to the stock.  Window accruals and the discounted
-    dividend integral use trapezoid rule on the dividend rate.
+    dividend integral use trapezoid rule on the dividend rate.  A window
+    that started before time 0 (T0 < 0) starts its sum from ``state0.c``,
+    the accrual since the window start.
     """
     membership = in_state_space(params, state0)
     if not membership.inside:
@@ -175,7 +183,8 @@ def simulate_paths(params, jump, state0, config, workers=None):
         i0 = min(max(int(round(t0 * config.steps_per_year)), 0), n_steps)
         i1 = min(max(int(round(t1 * config.steps_per_year)), i0), n_steps)
         window_idx.append((i0, i1))
-        window_grid[(t0, t1)] = (i0 * dt, i1 * dt)
+        # a started window keeps its negative T0 so that its mean includes state0.c
+        window_grid[(t0, t1)] = (t0 if t0 < 0 else i0 * dt, i1 * dt)
 
     n = config.n_paths
     store_yields = config.store_policy == "full"
@@ -215,6 +224,9 @@ def simulate_paths(params, jump, state0, config, workers=None):
             yields[lo:hi] = byields
         total_projections += nproj
 
+    for idx, (t0, _) in enumerate(config.windows):
+        if t0 < 0:  # a started window carries the accrual since its start
+            wsums[idx] += state0.c
     window_sums = {win: wsums[idx] for idx, win in enumerate(config.windows)}
     return PathBundle(
         config=config,

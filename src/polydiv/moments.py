@@ -5,13 +5,13 @@ monomials propagate through the matrix exponential of the generator,
 
     E_t[H(C_T, X_T, Y_T)] = expm(G * (T - t)) @ H(C_t, X_t, Y_t).
 
-Futures prices are single entries of this vector at degree one; moments
-of dividends paid over a window [T0, T1] follow from a binomial
-nested-expectation identity; and the present value of future dividends
-uses the same linear algebra on a discount-tilted drift matrix.
+The generator preserves total degree, so the exponential is taken one
+degree block at a time.  Futures prices are degree-one entries of this
+vector; moments of dividends paid over a window [T0, T1] restart the
+accrual at T0 (the Markov property); and the present value of future
+dividends uses the same linear algebra on a discount-tilted drift matrix.
 """
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -20,30 +20,34 @@ from scipy.linalg import expm
 
 from .errors import DomainError, InvalidParameterError, NumericError
 from .generator import GeneratorMatrix, build_basis, build_generator, eval_basis
-from .model import State
-
-
-def _as_matrix(gen):
-    if isinstance(gen, GeneratorMatrix):
-        return gen.matrix
-    return np.asarray(gen, dtype=float)
 
 
 def expm_apply(gen, dt, v):
     """Apply the matrix exponential: ``expm(G * dt) @ v``.
 
-    ``dt = 0`` returns a copy of ``v`` exactly.  Uses scaling-and-squaring
-    with the 13th-order rational approximant underneath.
+    A :class:`GeneratorMatrix` is exponentiated one degree block of its
+    basis at a time (all-zero blocks, such as the constant monomial's, pass
+    through unchanged); a plain matrix is one block.  ``dt = 0`` returns a
+    copy of ``v`` exactly.  Uses scaling-and-squaring with the 13th-order
+    rational approximant underneath.
     """
-    mat = _as_matrix(gen)
+    if isinstance(gen, GeneratorMatrix):
+        mat, blocks = gen.matrix, gen.basis.blocks
+    else:
+        mat = np.asarray(gen, dtype=float)
+        blocks = (slice(None),)
     v = np.asarray(v, dtype=float)
     if dt < 0:
         raise InvalidParameterError(f"need dt >= 0, got {dt}")
     if not np.all(np.isfinite(mat)) or not np.all(np.isfinite(v)):
         raise NumericError("non-finite entries in matrix-exponential input")
+    out = v.copy()
     if dt == 0:
-        return v.copy()
-    out = expm(mat * dt) @ v
+        return out
+    for s in blocks:
+        block = mat[s, s]
+        if block.any():
+            out[s] = expm(block * dt) @ v[s]
     if not np.all(np.isfinite(out)):
         raise NumericError("matrix exponential produced non-finite values")
     return out
@@ -84,34 +88,27 @@ def stock_futures(params, jump, state, t, T):
 def dividend_futures(params, jump, state, t, T0, T1):
     """Futures price on dividends paid over [T0, T1]: E_t[C_T1 - C_T0].
 
-    For a window that has already started (T0 <= t) the state's ``c`` must
+    For a window that has already started (T0 < t) the state's ``c`` must
     measure dividends accrued since the window start; the price is then
-    E_t[C_T1] under that normalization.
+    ``state.c`` plus the dividends still to come, E_t[C_T1 - C_t].
     """
     if T1 < T0:
         raise InvalidParameterError(f"need T1 >= T0, got T1={T1} < T0={T0}")
     if T1 < t:
         raise InvalidParameterError(f"window end T1={T1} lies before t={t}")
-    basis = build_basis(params.d, 1, include_c=True)
-    gen = build_generator(params, jump, basis)
-    h = eval_basis(basis, state)
-    pos_c = basis.position(1, 0, (0,) * params.d)
-    if T0 >= t:
-        far = expm_apply(gen, T1 - t, h)[pos_c]
-        near = expm_apply(gen, T0 - t, h)[pos_c]
-        return float(far - near)
-    # started window: accrued dividends live in state.c
-    return float(expm_apply(gen, T1 - t, h)[pos_c])
+    to_come = cumulative_dividend_moments(params, jump, state, t, max(T0, t), T1, 1)[0]
+    return float(to_come + (state.c if T0 < t else 0.0))
 
 
 def cumulative_dividend_moments(params, jump, state, t, T0, T1, n):
     """Raw moments M_1..M_n of the window dividends C_T1 - C_T0, given time t.
 
-    Uses the nested-expectation identity: condition on time T0, read off the
-    moments of C_T1 from the degree-k matrix exponentials, multiply back by
-    powers of -C_T0, and take the outer expectation on the degree-n basis.
-    When T0 = t this reduces to reading the c-moments directly with the
-    accrual reset to zero.
+    Given the state at T0, C_T1 - C_T0 accrues like C restarted from 0 (the
+    Markov property).  So E_T0[(C_T1 - C_T0)^k] is the c^k row of
+    ``expm(G_k (T1 - T0))`` on the degree-k block, restricted to the c-free
+    monomials, evaluated at the time-T0 state; M_k is that row dotted with
+    the degree-k block propagated over T0 - t from the current state.  The
+    result does not depend on ``state.c``, and T0 = t needs no special case.
     """
     if n < 1 or int(n) != n:
         raise InvalidParameterError(f"need moment count n >= 1, got {n}")
@@ -120,41 +117,16 @@ def cumulative_dividend_moments(params, jump, state, t, T0, T1, n):
     if T1 < T0:
         raise InvalidParameterError(f"need T0 <= T1, got T1={T1} < T0={T0}")
     n = int(n)
-    d = params.d
-    zeros = (0,) * d
-
-    if T0 == t:
-        reset = State(c=0.0, x=state.x, y=state.y)
-        ms = conditional_moments(params, jump, reset, t, T1, n)
-        return np.array([ms.value(i=k) for k in range(1, n + 1)])
-
-    basis_n = build_basis(d, n, include_c=True)
-    gen_n = build_generator(params, jump, basis_n)
-    outer = expm_apply(gen_n, T0 - t, eval_basis(basis_n, state))
-
-    # rows of expm(G_k (T1-T0)) giving E_{T0}[C_T1^k] as polynomials in the
-    # time-T0 state; the leading block of the degree-n generator is exactly
-    # the degree-k generator because the generator preserves total degree.
-    q_rows = {}
-    for k in range(1, n + 1):
-        basis_k = build_basis(d, k, include_c=True)
-        nk = basis_k.size
-        ek = expm(gen_n.matrix[:nk, :nk] * (T1 - T0))
-        q_rows[k] = (basis_k, ek[basis_k.position(k, 0, zeros)])
-
+    basis = build_basis(params.d, n, include_c=True)
+    gen = build_generator(params, jump, basis)
+    at_t0 = expm_apply(gen, T0 - t, eval_basis(basis, state))
+    c_free = np.array([m.i == 0 for m in basis.members])
+    zeros = (0,) * params.d
     out = np.empty(n)
-    for order in range(1, n + 1):
-        total = ((-1.0) ** order) * outer[basis_n.position(order, 0, zeros)]
-        for k in range(1, order + 1):
-            basis_k, q = q_rows[k]
-            sign = (-1.0) ** (order - k)
-            inner = 0.0
-            for pos, (i, j, alpha) in enumerate(basis_k.members):
-                if q[pos] == 0.0:
-                    continue
-                inner += q[pos] * outer[basis_n.position(i + order - k, j, alpha)]
-            total += math.comb(order, k) * sign * inner
-        out[order - 1] = total
+    for k in range(1, n + 1):
+        s = basis.blocks[k]
+        row = expm(gen.matrix[s, s] * (T1 - T0))[basis.position(k, 0, zeros) - s.start]
+        out[k - 1] = row[c_free[s]] @ at_t0[s][c_free[s]]
     return out
 
 

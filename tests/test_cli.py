@@ -105,6 +105,23 @@ class TestMarketCsv:
         with pytest.raises(MarketDataError, match="duplicate"):
             parse_market_csv(str(path), spot=100.0, valuation_date="2015-12-21")
 
+    @pytest.mark.parametrize("row", [
+        "IVSTOCK2,stock_iv,,,2016-06-17,0.2195",
+        "IVDIV2,dividend_iv,2015-12-18,2016-12-16,2016-12-16,0.0511",
+    ])
+    def test_second_iv_row_rejected(self, tmp_path, row):
+        path = tmp_path / "two_iv.csv"
+        path.write_text(
+            "instrument,type,window_start,window_end,expiry,quote\n"
+            "DF1,dividend_future,2015-12-18,2016-12-16,2016-12-16,115.3\n"
+            "IVSTOCK,stock_iv,,,2016-03-21,0.2295\n"
+            "IVDIV,dividend_iv,2015-12-18,2016-12-16,2016-12-16,0.0491\n"
+            f"{row}\n"
+        )
+        kind = row.split(",")[1]
+        with pytest.raises(MarketDataError, match=f"row 5: second {kind} row"):
+            parse_market_csv(str(path), spot=100.0, valuation_date="2015-12-21")
+
     def test_unordered_window_with_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(
@@ -190,6 +207,13 @@ class TestCommands:
         assert 0.0 <= ys["min"] and ys["max"] <= 0.2
         assert os.path.exists(os.path.join(out, "yield_paths.csv"))
         assert os.path.exists(os.path.join(out, "report.json"))
+
+    def test_invalid_thread_count_exit_code(self, config_path, capsys, monkeypatch):
+        monkeypatch.setenv("POLYDIV_THREADS", "two")
+        code = run(["simulate", "--config", config_path, "--horizon", "0.1", "--paths", "10"])
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert code == 3
+        assert err["type"] == "ConfigError" and "POLYDIV_THREADS" in err["message"]
 
     def test_payload_determinism(self, config_path, capsys):
         _, r1 = run_json(capsys, ["simulate", "--config", config_path, "--horizon",

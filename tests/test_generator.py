@@ -11,6 +11,7 @@ from polydiv.generator import (
     eval_basis,
 )
 from polydiv.model import JumpSpec, ModelParams, PointMass, State, TwoPoint
+from polydiv.moments import expm_apply
 
 from conftest import random_admissible_params, random_state_in_E
 
@@ -137,6 +138,16 @@ class TestPointwiseOracle:
             via_matrix = float(coeffs @ (gen.matrix @ eval_basis(basis, state)))
             direct = apply_generator_pointwise(params, jump, basis, coeffs, state)
             assert via_matrix == pytest.approx(direct, rel=1e-10, abs=1e-12)
+            # the generator never mixes degrees, so block-by-block
+            # exponentiation equals the whole-matrix exponential
+            off_block = gen.matrix.copy()
+            for s in basis.blocks:
+                off_block[s, s] = 0.0
+            assert not off_block.any()
+            h = eval_basis(basis, state)
+            whole = expm_apply(gen.matrix, 0.8, h)
+            np.testing.assert_allclose(expm_apply(gen, 0.8, h), whole, rtol=0,
+                                       atol=1e-8 * np.abs(whole).max())
 
     def test_linearity(self, params_a02):
         rng = np.random.default_rng(1)

@@ -161,6 +161,18 @@ class TestDividendOption:
         iv = implied_vol(price, fwd, fwd, t1, p.r, "black76")
         assert iv == pytest.approx(0.0491, abs=0.005)
 
+    def test_started_window_parity_includes_accrual(self):
+        # the payoff is on the accrued c0 plus the dividends still to come
+        p = reference_params(0.2)
+        st = State(c=0.01, x=1.0, y=[0.0371])
+        fwd = dividend_futures(p, None, st, 0.0, -0.5, 1.0)
+        prices = {kind: price_dividend_option(
+            p, None, st, OptionSpec(kind, "dividend", strike=fwd, expiry=1.0, rate=p.r,
+                                    window=(-0.5, 1.0)), 6) for kind in ("call", "put")}
+        assert prices["call"] > 1e-4
+        # ATM: call - put = discount * (F - K) = 0
+        assert abs(prices["call"] - prices["put"]) <= 1e-9 * fwd
+
     def test_few_moments_already_close(self):
         # two moments give a price within a fraction of a vega of six
         p = reference_params(0.2)

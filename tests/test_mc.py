@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from polydiv.errors import DomainError, InvalidParameterError
+from polydiv.errors import ConfigError, DomainError, InvalidParameterError
 from polydiv.mc import (
     SimConfig,
+    _worker_count,
     martingale_diagnostic,
     mc_price,
     simulate_paths,
@@ -55,6 +56,16 @@ class TestSimulatePaths:
         b2 = simulate_paths(params_a02, None, state0, cfg)
         np.testing.assert_array_equal(b1.terminal_x, b2.terminal_x)
         np.testing.assert_array_equal(b1.disc_div, b2.disc_div)
+
+    @pytest.mark.parametrize("value", ["two", "0", "-3"])
+    def test_invalid_thread_count_rejected(self, params_a02, state0, monkeypatch, value):
+        monkeypatch.setenv("POLYDIV_THREADS", value)
+        with pytest.raises(ConfigError, match=f"POLYDIV_THREADS.*'{value}'"):
+            simulate_paths(params_a02, None, state0, SimConfig(n_paths=10, horizon=0.1))
+
+    def test_empty_thread_count_means_one(self, monkeypatch):
+        monkeypatch.setenv("POLYDIV_THREADS", "")
+        assert _worker_count() == 1
 
     def test_worker_count_invariance(self, params_a02, state0):
         cfg = SimConfig(n_paths=10000, horizon=0.5, seed=5, windows=((0.0, 0.5),))
@@ -161,6 +172,18 @@ class TestMcPrice:
         est = mc_price(bundle, lambda c: c, 1.0, control="none", underlying=(0.0, 1.0))
         closed = dividend_futures(params_a02, None, state0, 0.0, 0.0, bundle.horizon)
         assert abs(est.value - closed) < 3 * est.std_error
+
+    def test_started_window_includes_accrual(self, params_a02):
+        st = State(c=0.01, x=1.0, y=[0.0371])
+        cfg = SimConfig(n_paths=20000, horizon=1.0, steps_per_year=126, seed=14,
+                        windows=((-0.5, 1.0),))
+        bundle = simulate_paths(params_a02, None, st, cfg)
+        est = mc_price(bundle, lambda c: c, 1.0, control="none", underlying=(-0.5, 1.0))
+        closed = dividend_futures(params_a02, None, st, 0.0, -0.5, 1.0)
+        assert abs(est.value - closed) < 4 * est.std_error
+        # the control variate's closed-form mean carries the accrual too
+        linear = mc_price(bundle, lambda c: c, 1.0, control="degree-one", underlying=(-0.5, 1.0))
+        assert linear.value == pytest.approx(closed, rel=1e-12)
 
     def test_unknown_underlying_rejected(self, params_a02, state0):
         bundle = simulate_paths(params_a02, None, state0,

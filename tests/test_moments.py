@@ -138,11 +138,19 @@ class TestCumulativeDividendMoments:
                 dividend_futures(params_a02, None, state0, 0.0, t0, t1), rel=1e-11)
 
     def test_immediate_window_agrees_with_recursion(self, params_a02, state0):
-        # the T0 = t direct route and the nested-expectation route must agree
+        # the moments are continuous as the window start T0 approaches t
         direct = cumulative_dividend_moments(params_a02, None, state0, 0.0, 0.0, 2.0, 6)
         eps = 1e-9
         recursed = cumulative_dividend_moments(params_a02, None, state0, 0.0, eps, 2.0, 6)
         np.testing.assert_allclose(recursed, direct, rtol=1e-5)
+
+    def test_independent_of_accrual(self, params_a02):
+        # window moments restart the accrual at T0, so state.c cannot enter
+        zero = cumulative_dividend_moments(params_a02, None, State(0.0, 1.0, [0.0371]),
+                                           0.0, 1.0, 2.0, 6)
+        ten = cumulative_dividend_moments(params_a02, None, State(10.0, 1.0, [0.0371]),
+                                          0.0, 1.0, 2.0, 6)
+        np.testing.assert_allclose(ten, zero, rtol=1e-12)
 
     def test_nonoverlapping_consistency(self, params_a02, state0):
         # moments are plausible: positive, increasing order magnitudes consistent
