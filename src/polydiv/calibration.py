@@ -3,17 +3,23 @@ ATM implied volatilities.
 
 Free parameters are (b, beta, sigma, nu1, D0) with (r, a) fixed.  Futures
 prices depend only on (b, beta, D0), the option legs add (sigma, nu1), so
-the joint fit is well determined by a strip plus two vol quotes.  The
-optimizer is a deterministic Nelder-Mead simplex search on a penalized
-least-squares objective; the inward-drift inequalities enter through a
-smooth quadratic penalty so infeasible trial points stay finite.
+the joint fit is well determined by a strip plus two vol quotes.  The fit
+is a bounded nonlinear least-squares problem on the weighted residuals
+sqrt(w) * (model - market), solved by scipy's trust-region reflective
+method with finite-difference Jacobians.  It runs in the coordinates
+(b, q, sigma, nu1, D0), where q = r - a - b/a - beta is the slack of the
+d = 1 cap inequality, so admissibility is the box b >= 0, q > 0,
+sigma, nu1 >= 0, 0 <= D0 <= a and every trial point is admissible.
+:func:`objective` is the reported score: the same weighted sum of squares
+plus a penalty that keeps it finite outside that box.
 """
 
 import math
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
 
 from .black import implied_vol
 from .errors import CalibrationError, InvalidParameterError, MarketDataError, PolydivError
@@ -22,6 +28,16 @@ from .model import ModelParams, State, validate_admissibility
 from .moments import dividend_futures, stock_futures
 
 PENALTY_WEIGHT = 1e6
+
+FREE_NAMES = ("b", "q", "sigma", "nu1", "d0")
+# Relative finite-difference step.  Between nearby sigma the maxent dividend
+# IV jitters by about 2.5e-6, so its finite-difference slope is noise below
+# steps of about 1e-3: from jittered starts, scipy's default step stalls up
+# to 9% above the optimum that 1e-3 reaches.
+DIFF_STEP = 1e-3
+# Floor of the cap slack q: at q = 0, validate_admissibility's r - a - beta
+# - b/a rounds to about -1e-17 for some b and rejects the point.
+Q_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -117,10 +133,7 @@ class CalibConfig:
     weight_iv: float = 1e4
     n_moments: int = 6
     two_stage: bool = False
-    simplex_rel_step: float = 0.15
-    max_evals: int = 4000
-    fatol: float = 1e-12
-    xatol: float = 1e-9
+    max_evals: int = 4000           # residual calls, finite-difference calls included
 
     def __post_init__(self):
         if not self.a > 0:
@@ -129,6 +142,14 @@ class CalibConfig:
             raise InvalidParameterError("weights must be non-negative")
         if self.n_moments < 2:
             raise InvalidParameterError(f"need n_moments >= 2, got {self.n_moments}")
+        # the start plus one finite-difference Jacobian in every stage: 1 + 5
+        # calls jointly, or 1 + 3 for stage 1 in each half of the budget
+        min_evals = 8 if self.two_stage else 6
+        if self.max_evals < min_evals:
+            raise InvalidParameterError(
+                f"max_evals={self.max_evals} cannot pay for one finite-difference "
+                f"Jacobian per stage; need at least {min_evals}"
+            )
 
 
 @dataclass(frozen=True)
@@ -178,14 +199,14 @@ def pricing_errors(params, d0, market, n_moments):
     """
     state = State(c=0.0, x=1.0, y=[d0])
     rows = []
+
+    def add(id, kind, quote, model):
+        rows.append(PricedInstrument(id=id, kind=kind, market=quote, model=model,
+                                     abs_error=abs(model - quote)))
+
     for f in market.futures:
-        model_px = market.spot * dividend_futures(params, None, state, 0.0, f.t0, f.t1)
-        rows.append(
-            PricedInstrument(
-                id=f.id, kind="futures", market=f.quote,
-                model=model_px, abs_error=abs(model_px - f.quote),
-            )
-        )
+        add(f.id, "futures", f.quote,
+            market.spot * dividend_futures(params, None, state, 0.0, f.t0, f.t1))
     if market.stock_iv is not None:
         q = market.stock_iv
         spec = OptionSpec(
@@ -197,12 +218,7 @@ def pricing_errors(params, d0, market, n_moments):
         model_iv = implied_vol(
             price, 1.0, 1.0, q.expiry, params.r, "black-scholes", dividend_yield=carry
         )
-        rows.append(
-            PricedInstrument(
-                id="IVSTOCK", kind="stock_iv", market=q.iv,
-                model=model_iv, abs_error=abs(model_iv - q.iv),
-            )
-        )
+        add("IVSTOCK", "stock_iv", q.iv, model_iv)
     if market.dividend_iv is not None:
         q = market.dividend_iv
         f = market.futures_by_id(q.futures_id)
@@ -212,13 +228,7 @@ def pricing_errors(params, d0, market, n_moments):
             rate=params.r, window=(f.t0, f.t1),
         )
         price = price_dividend_option(params, None, state, spec, n_moments)
-        model_iv = implied_vol(price, fwd, fwd, f.t1, params.r, "black76")
-        rows.append(
-            PricedInstrument(
-                id="IVDIV", kind="dividend_iv", market=q.iv,
-                model=model_iv, abs_error=abs(model_iv - q.iv),
-            )
-        )
+        add("IVDIV", "dividend_iv", q.iv, implied_vol(price, fwd, fwd, f.t1, params.r, "black76"))
     return tuple(rows)
 
 
@@ -233,7 +243,7 @@ def _penalty(params, d0):
     return PENALTY_WEIGHT * viol
 
 
-def objective(param_vector, market, config, include_iv=True, include_futures=True):
+def objective(param_vector, market, config):
     """Penalized weighted least-squares objective; finite everywhere."""
     try:
         params, d0 = params_from_vector(param_vector, config)
@@ -244,95 +254,68 @@ def objective(param_vector, market, config, include_iv=True, include_futures=Tru
     raw_sigma, raw_nu = float(param_vector[2]), float(param_vector[3])
     pen += PENALTY_WEIGHT * (max(0.0, -raw_sigma) ** 2 + max(0.0, -raw_nu) ** 2)
     try:
-        sub = market if include_iv else replace(market, stock_iv=None, dividend_iv=None)
-        rows = pricing_errors(params, d0, sub, config.n_moments)
+        rows = pricing_errors(params, d0, market, config.n_moments)
     except PolydivError:
         return 1e12 * (1.0 + pen / PENALTY_WEIGHT)
-    total = pen
-    for row in rows:
-        if row.kind == "futures":
-            if include_futures:
-                total += config.weight_futures * row.abs_error ** 2
-        elif include_iv:
-            total += config.weight_iv * row.abs_error ** 2
-    return float(total)
+    return float(pen + sum(_weight(row.kind, config) * row.abs_error ** 2 for row in rows))
 
 
-def _initial_simplex(x0, rel_step):
-    """Deterministic simplex: x0 plus one perturbed vertex per coordinate."""
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.size
-    simplex = np.tile(x0, (n + 1, 1))
-    for k in range(n):
-        simplex[k + 1, k] += rel_step * max(abs(x0[k]), 0.01)
-    return simplex
+def _weight(kind, config):
+    return config.weight_futures if kind == "futures" else config.weight_iv
 
 
-def _run_nelder_mead(fun, x0, config, max_evals):
-    """Nelder-Mead in scaled coordinates with deterministic restarts.
+def _vector_from_free(z, config):
+    """(b, q, sigma, nu1, D0) -> (b, beta, sigma, nu1, D0), as beta = r - a - b/a - q."""
+    b, q, sigma, nu, d0 = z
+    return np.array([b, config.r - config.a - b / config.a - q, sigma, nu, d0])
 
-    The free parameters differ by two orders of magnitude in scale, which
-    makes a raw simplex collapse early; optimizing x/scales and restarting
-    from the incumbent with a fresh simplex until the objective stops
-    improving is deterministic and markedly more reliable.
+
+def _fit_stage(z, names, market, kinds, config, budget):
+    """Fit the coordinates `names` of `z`, in place, to the `kinds` rows of
+    `market`, and return the stage's trace record.
+
+    The optimizer computes its finite-difference Jacobian, n residual calls
+    for n coordinates, only at the start and after an accepted step, each
+    time right after one function evaluation; allowing budget // (n + 1)
+    function evaluations therefore keeps every call within `budget`.
     """
-    x0 = np.asarray(x0, dtype=float)
-    scales = np.maximum(np.abs(x0), 0.01)
+    started = time.perf_counter()
+    idx = [FREE_NAMES.index(n) for n in names]
+    lower, upper = np.array([[0.0, Q_FLOOR, 0.0, 0.0, 0.0], [np.inf] * 4 + [config.a]])[:, idx]
+    fitted = []
 
-    def scaled_fun(v):
-        return fun(v * scales)
+    def residuals(v):
+        z[idx] = v
+        params, d0 = params_from_vector(_vector_from_free(z, config), config)
+        try:
+            rows = pricing_errors(params, d0, market, config.n_moments)
+        except PolydivError:
+            if not fitted:
+                raise
+            return np.full(len(fitted), 1e6)      # unpriceable: a large, finite misfit
+        rows = [row for row in rows if row.kind in kinds]
+        fitted[:] = [row.id for row in rows]
+        return np.array([math.sqrt(_weight(r.kind, config)) * (r.model - r.market) for r in rows])
 
-    incumbent = x0 / scales
-    best_val = None
-    nfev = 0
-    nit = 0
-    success = False
-    message = ""
-    rel_step = config.simplex_rel_step
-    for restart in range(8):
-        budget = max_evals - nfev
-        if budget <= 0:
-            break
-        res = minimize(
-            scaled_fun,
-            incumbent,
-            method="Nelder-Mead",
-            options={
-                "initial_simplex": _initial_simplex(incumbent, rel_step),
-                "maxfev": budget,
-                "fatol": config.fatol,
-                "xatol": config.xatol,
-                "adaptive": False,
-            },
-        )
-        nfev += res.nfev
-        nit += res.nit
-        success = bool(res.success)
-        message = str(res.message)
-        improved = best_val is None or res.fun < best_val - max(
-            config.fatol, 1e-12 * abs(best_val)
-        )
-        if res.fun < (best_val if best_val is not None else np.inf):
-            best_val, incumbent = res.fun, res.x
-        if not improved:
-            break
-        rel_step = max(rel_step / 4.0, 0.01)
-    out = type("NMResult", (), {})()
-    out.x = incumbent * scales
-    out.fun = best_val
-    out.nfev = nfev
-    out.nit = nit
-    out.success = success
-    out.message = message
-    return out
+    sol = least_squares(
+        residuals, np.clip(z[idx], lower, upper), bounds=(lower, upper), method="trf",
+        diff_step=DIFF_STEP, max_nfev=budget // (len(idx) + 1),
+    )
+    z[idx] = sol.x
+    return {"parameters": list(names), "residuals": fitted, "method": "trf",
+            "nfev": int(sol.nfev + len(idx) * sol.njev), "status": int(sol.status),
+            "message": str(sol.message), "seconds": time.perf_counter() - started}
 
 
 def calibrate(market, config):
-    """Fit (b, beta, sigma, nu1, D0) to the market with Nelder-Mead.
+    """Fit (b, beta, sigma, nu1, D0) to the market by bounded least squares.
 
-    Deterministic given the config.  The converged point is re-validated:
-    an inadmissible optimum raises :class:`CalibrationError` carrying the
-    optimizer trace.
+    Two-stage fits (b, beta, D0) to the futures, then (sigma, nu1) to the
+    vols, on an even split of ``max_evals``; a market with only one of the
+    two fits in the joint stage.  Deterministic given the config.
+    ``trace["converged"]`` is true only when every stage stopped on a
+    tolerance.  The fitted point is re-validated: an inadmissible one
+    raises :class:`CalibrationError` carrying the optimizer trace.
     """
     d0_start = config.start_d0
     if d0_start is None:
@@ -340,46 +323,27 @@ def calibrate(market, config):
             raise CalibrationError("cannot derive a starting dividend level without futures quotes")
         f0 = market.futures[0]
         d0_start = f0.quote / (market.spot * (f0.t1 - f0.t0))
-    x0 = np.array(
-        [config.start_b, config.start_beta, config.start_sigma, config.start_nu, d0_start]
-    )
+    x0 = [config.start_b, config.start_beta, config.start_sigma, config.start_nu, d0_start]
+    z = _vector_from_free(x0, config)       # the map is its own inverse
 
-    trace = {}
-    if config.two_stage:
-        # stage 1: (b, beta, D0) on futures only; stage 2: (sigma, nu1) on IVs
-        def stage1(v):
-            full = np.array([v[0], v[1], x0[2], x0[3], v[2]])
-            return objective(full, market, config, include_iv=False)
+    stages = [(FREE_NAMES, market, ("futures", "stock_iv", "dividend_iv"))]
+    if config.two_stage and 0 < len(market.futures) < market.n_instruments:
+        # stage 2 prices only the futures window the dividend IV refers to
+        iv = market.dividend_iv
+        ref = (market.futures_by_id(iv.futures_id),) if iv is not None else ()
+        stages = [
+            (("b", "q", "d0"), replace(market, stock_iv=None, dividend_iv=None), ("futures",)),
+            (("sigma", "nu1"), replace(market, futures=ref), ("stock_iv", "dividend_iv")),
+        ]
+    records = [_fit_stage(z, *stage, config, config.max_evals // len(stages)) for stage in stages]
+    trace = {
+        "nfev": sum(rec["nfev"] for rec in records),
+        "converged": all(rec["status"] > 0 for rec in records),
+        "message": " ".join(f"stage {k}: {rec['message']}" for k, rec in enumerate(records, 1)),
+        "stages": records,
+    }
 
-        res1 = _run_nelder_mead(stage1, x0[[0, 1, 4]], config, config.max_evals // 2)
-        b_fit, beta_fit, d0_fit = res1.x
-
-        def stage2(v):
-            full = np.array([b_fit, beta_fit, v[0], v[1], d0_fit])
-            return objective(full, market, config, include_futures=False)
-
-        res2 = _run_nelder_mead(stage2, x0[[2, 3]], config, config.max_evals // 2)
-        x_best = np.array([b_fit, beta_fit, res2.x[0], res2.x[1], d0_fit])
-        trace = {
-            "nfev": int(res1.nfev + res2.nfev),
-            "nit": int(res1.nit + res2.nit),
-            "converged": bool(res1.success and res2.success),
-            "message": f"stage1: {res1.message}; stage2: {res2.message}",
-            "stages": 2,
-        }
-    else:
-        res = _run_nelder_mead(
-            lambda v: objective(v, market, config), x0, config, config.max_evals
-        )
-        x_best = res.x
-        trace = {
-            "nfev": int(res.nfev),
-            "nit": int(res.nit),
-            "converged": bool(res.success),
-            "message": str(res.message),
-            "stages": 1,
-        }
-
+    x_best = _vector_from_free(z, config)
     params, d0 = params_from_vector(x_best, config)
     report = validate_admissibility(params)
     if not (report.admissible and 0.0 <= d0 <= config.a):
@@ -389,13 +353,6 @@ def calibrate(market, config):
             f"trace: {trace}"
         )
     rows = pricing_errors(params, d0, market, config.n_moments)
-    final_obj = objective(x_best, market, config)
-    return CalibResult(
-        params=params,
-        d0=float(d0),
-        instruments=rows,
-        objective=final_obj,
-        trace=trace,
-        admissibility=report,
-        underdetermined=market.n_instruments < 5,
-    )
+    return CalibResult(params=params, d0=float(d0), instruments=rows,
+                       objective=objective(x_best, market, config), trace=trace,
+                       admissibility=report, underdetermined=market.n_instruments < 5)

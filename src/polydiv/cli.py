@@ -171,8 +171,13 @@ def parse_market_csv(path, spot=None, valuation_date=None):
 
     meta_path = os.path.splitext(path)[0] + ".json"
     if (spot is None or valuation_date is None) and os.path.exists(meta_path):
-        with open(meta_path) as fh:
-            meta = json.load(fh)
+        try:
+            with open(meta_path) as fh:
+                meta = json.load(fh)
+        except ValueError as exc:             # JSONDecodeError or UnicodeDecodeError
+            raise MarketDataError(f"{meta_path} is not valid JSON: {exc}")
+        if not isinstance(meta, dict):
+            raise MarketDataError(f"{meta_path} must hold a JSON object")
         spot = meta.get("spot") if spot is None else spot
         valuation_date = meta.get("valuation_date") if valuation_date is None else valuation_date
     if spot is None or valuation_date is None:
@@ -183,6 +188,10 @@ def parse_market_csv(path, spot=None, valuation_date=None):
         valuation = dt.date.fromisoformat(str(valuation_date))
     except ValueError:
         raise MarketDataError(f"bad valuation date {valuation_date!r}")
+    try:
+        spot = float(spot)
+    except (TypeError, ValueError):
+        raise MarketDataError(f"spot must be a number, got {spot!r}")
 
     futures, stock_iv, div_iv_row = [], None, None
     seen = set()
@@ -226,7 +235,7 @@ def parse_market_csv(path, spot=None, valuation_date=None):
         dividend_iv = DividendIvQuote(iv=quote, futures_id=match[0].id)
     try:
         return MarketData(
-            valuation_date=str(valuation_date), spot=float(spot),
+            valuation_date=str(valuation_date), spot=spot,
             futures=tuple(futures), stock_iv=stock_iv, dividend_iv=dividend_iv,
         )
     except MarketDataError:
@@ -253,7 +262,7 @@ def _report(command, config_echo, payload, seed=None, started=None):
     meta = {
         "versions": {"polydiv": __version__, "numpy": np.__version__},
         "seed": seed,
-        "elapsed_s": round(time.time() - started, 6) if started is not None else None,
+        "elapsed_s": round(time.perf_counter() - started, 6) if started is not None else None,
     }
     return {"command": command, "config": _jsonify(config_echo), "payload": _jsonify(payload),
             "meta": meta}
@@ -581,7 +590,7 @@ def run(argv=None):
     """Dispatch a CLI invocation; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    args._t0 = time.time()
+    args._t0 = time.perf_counter()
     handler = _HANDLERS[(args.command, getattr(args, "target", None))]
     try:
         return handler(args)

@@ -1,8 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+import polydiv.calibration as calibration
 from polydiv.calibration import (
     CalibConfig,
     DividendIvQuote,
@@ -13,13 +15,16 @@ from polydiv.calibration import (
     objective,
     pricing_errors,
 )
-from polydiv.errors import MarketDataError
+from polydiv.cli import parse_market_csv
+from polydiv.errors import InvalidParameterError, MarketDataError
 from polydiv.model import ModelParams, State
 from polydiv.moments import dividend_futures
 
 from conftest import REFERENCE_D0, reference_params, reference_state
 
 SPOT = 3216.17
+SNAPSHOT_CSV = os.path.join(os.path.dirname(__file__), "..", "src", "polydiv", "data",
+                            "sx5e_20151221.csv")
 
 
 def synthetic_market(include_ivs=True, n_futures=10):
@@ -224,3 +229,60 @@ class TestCalibrate:
         assert result.admissibility.admissible
         fut_errors = [r.abs_error for r in result.instruments if r.kind == "futures"]
         assert max(fut_errors) <= 2.5
+
+    def test_recovers_strip_next_to_cap_boundary(self):
+        # futures generated 1e-9 inside the d = 1 cap inequality: the optimum
+        # lies next to the boundary that the fit's box keeps off q = 0
+        r, a, b = 0.01, 0.2, 0.0103
+        p = ModelParams.single_factor(r=r, a=a, sigma=0.2813, b=b,
+                                      beta=r - a - b / a - 1e-9, nu=0.0194)
+        st = State(0.0, 1.0, [REFERENCE_D0])
+        futures = [FuturesQuote(f"DF{k}", k - 1.0, float(k),
+                                SPOT * dividend_futures(p, None, st, 0.0, k - 1.0, float(k)))
+                   for k in range(1, 11)]
+        res = calibrate(MarketData("2015-12-21", SPOT, futures), CalibConfig(max_evals=600))
+        assert res.objective <= 1e-12
+        assert res.admissibility.admissible and 0.0 <= res.d0 <= a
+
+    @pytest.mark.parametrize("two_stage", [False, True], ids=["joint", "two_stage"])
+    def test_shipped_snapshot_converges(self, two_stage):
+        market = parse_market_csv(SNAPSHOT_CSV)
+        res = calibrate(market, CalibConfig(two_stage=two_stage))
+        assert res.trace["converged"] is True
+        assert res.objective <= 7.587
+        assert res.admissibility.admissible
+
+    def test_exhausted_budget_is_not_converged(self, monkeypatch):
+        calls = []
+        original = calibration.pricing_errors
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(calibration, "pricing_errors", counted)
+        res = calibrate(synthetic_market(), CalibConfig(two_stage=True, max_evals=8))
+        assert res.trace["converged"] is False
+        assert res.trace["nfev"] <= 8
+        # every fitting call is counted; calibrate then prices the fit twice
+        assert len(calls) == res.trace["nfev"] + 2
+
+    @pytest.mark.parametrize("two_stage,max_evals,minimum", [(False, 5, 6), (True, 7, 8)])
+    def test_budget_below_one_jacobian_per_stage_rejected(self, two_stage, max_evals, minimum):
+        with pytest.raises(InvalidParameterError, match=f"at least {minimum}"):
+            CalibConfig(two_stage=two_stage, max_evals=max_evals)
+        CalibConfig(two_stage=two_stage, max_evals=minimum)
+
+    def test_stage_records(self):
+        market = synthetic_market()
+        res = calibrate(market, CalibConfig(two_stage=True, max_evals=400))
+        stages = res.trace["stages"]
+        assert [s["parameters"] for s in stages] == [["b", "q", "d0"], ["sigma", "nu1"]]
+        assert stages[0]["residuals"] == [f.id for f in market.futures]
+        assert stages[1]["residuals"] == ["IVSTOCK", "IVDIV"]
+        for s in stages:
+            assert sorted(s) == ["message", "method", "nfev", "parameters", "residuals",
+                                 "seconds", "status"]
+            assert s["method"] == "trf" and s["seconds"] > 0.0
+        assert res.trace["nfev"] == sum(s["nfev"] for s in stages)
+        assert res.trace["converged"] == all(s["status"] > 0 for s in stages)

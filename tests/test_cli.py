@@ -32,6 +32,17 @@ def write_config(tmp_path, **overrides):
     return str(path)
 
 
+def write_market_with_meta(tmp_path, meta_text):
+    """One-row market CSV whose spot and valuation date come from a sibling JSON."""
+    (tmp_path / "market.json").write_text(meta_text)
+    path = tmp_path / "market.csv"
+    path.write_text(
+        "instrument,type,window_start,window_end,expiry,quote\n"
+        "DF1,dividend_future,2015-12-18,2016-12-16,2016-12-16,115.3\n"
+    )
+    return str(path)
+
+
 def run_json(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
@@ -121,6 +132,17 @@ class TestMarketCsv:
         kind = row.split(",")[1]
         with pytest.raises(MarketDataError, match=f"row 5: second {kind} row"):
             parse_market_csv(str(path), spot=100.0, valuation_date="2015-12-21")
+
+    @pytest.mark.parametrize("meta", [
+        '{"spot": 3216.17,',
+        '[3216.17, "2015-12-21"]',
+        '{"spot": "n/a", "valuation_date": "2015-12-21"}',
+        '{"spot": [3216.17], "valuation_date": "2015-12-21"}',
+    ], ids=["invalid_json", "not_an_object", "spot_text", "spot_list"])
+    def test_malformed_sibling_json_rejected(self, tmp_path, meta):
+        path = write_market_with_meta(tmp_path, meta)
+        with pytest.raises(MarketDataError, match="market.json|spot must be a number"):
+            parse_market_csv(path)
 
     def test_unordered_window_with_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -214,6 +236,13 @@ class TestCommands:
         err = json.loads(capsys.readouterr().err)["error"]
         assert code == 3
         assert err["type"] == "ConfigError" and "POLYDIV_THREADS" in err["message"]
+
+    def test_malformed_market_json_exit_code(self, config_path, capsys, tmp_path):
+        market = write_market_with_meta(tmp_path, "not json")
+        code = run(["price", "futures", "--config", config_path, "--market", market])
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert code == 3
+        assert err["type"] == "MarketDataError" and "market.json" in err["message"]
 
     def test_payload_determinism(self, config_path, capsys):
         _, r1 = run_json(capsys, ["simulate", "--config", config_path, "--horizon",
