@@ -3,7 +3,7 @@
 import math
 
 from scipy.optimize import brentq
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .errors import DomainError, InvalidParameterError
 
@@ -14,7 +14,7 @@ def _lognormal_call(forward, strike, expiry, vol, discount):
     s = vol * math.sqrt(expiry)
     d1 = (math.log(forward / strike) + 0.5 * s * s) / s
     d2 = d1 - s
-    return discount * (forward * norm.cdf(d1) - strike * norm.cdf(d2))
+    return discount * (forward * ndtr(d1) - strike * ndtr(d2))
 
 
 def black_scholes_price(spot, strike, expiry, vol, rate, dividend_yield=0.0, kind="call"):

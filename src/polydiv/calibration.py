@@ -311,8 +311,10 @@ def calibrate(market, config):
     """Fit (b, beta, sigma, nu1, D0) to the market by bounded least squares.
 
     Two-stage fits (b, beta, D0) to the futures, then (sigma, nu1) to the
-    vols, on an even split of ``max_evals``; a market with only one of the
-    two fits in the joint stage.  Deterministic given the config.
+    vols, on an even split of ``max_evals``.  A market of futures alone
+    fits (b, beta, D0) alone, since futures prices do not depend on (sigma,
+    nu1); a market of vols alone fits all five.  Deterministic given the
+    config.
     ``trace["converged"]`` is true only when every stage stopped on a
     tolerance.  The fitted point is re-validated: an inadmissible one
     raises :class:`CalibrationError` carrying the optimizer trace.
@@ -327,7 +329,11 @@ def calibrate(market, config):
     z = _vector_from_free(x0, config)       # the map is its own inverse
 
     stages = [(FREE_NAMES, market, ("futures", "stock_iv", "dividend_iv"))]
-    if config.two_stage and 0 < len(market.futures) < market.n_instruments:
+    if len(market.futures) == market.n_instruments:
+        # sigma and nu1 would be all-zero Jacobian columns that still enter
+        # the optimizer's step-size (xtol) test and stop it early
+        stages = [(("b", "q", "d0"), market, ("futures",))]
+    elif config.two_stage and market.futures:
         # stage 2 prices only the futures window the dividend IV refers to
         iv = market.dividend_iv
         ref = (market.futures_by_id(iv.futures_id),) if iv is not None else ()

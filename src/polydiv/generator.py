@@ -10,11 +10,19 @@ Monomials c^i x^j y^alpha are ordered graded-lexicographically with
 c < x < y_1 < ... < y_d, the constant monomial first.  The generator
 preserves total degree (each image term has the same total degree as its
 source), so G is block-diagonal over the degree blocks of the basis and
-each block can be exponentiated on its own.
+each block can be exponentiated on its own.  Nor does it raise the power
+of c: c-free monomials map to c-free monomials, so the c-free part of a
+block is a closed sub-block.
+
+On a fixed basis the sparsity pattern of G is constant.  Each entry is a
+pure number times one parameter factor: 1, r, b_k, beta_kl, sigma^2/a^q,
+nu_k^2/a^q or lam E[Z^m]/a^q.  The pattern is therefore computed once per
+basis, as a template of (flat index, term id, multiplier) triples, and
+:func:`build_generator` only evaluates the short vector of term factors
+and sums the weighted entries with one ``np.bincount``.
 """
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -52,7 +60,8 @@ class PolyBasis:
     """Ordered monomial basis of degree <= n in (c, x, y_1..y_d).
 
     ``blocks[k]`` is the slice of ``members`` holding the monomials of total
-    degree k.
+    degree k, and ``c_free[k]`` its tail of c-free monomials (all of it
+    without ``c``).
     """
 
     d: int
@@ -61,6 +70,7 @@ class PolyBasis:
     members: tuple
     _pos: dict = field(repr=False)
     blocks: tuple = field(repr=False)
+    c_free: tuple = field(repr=False)
 
     @property
     def size(self):
@@ -104,7 +114,11 @@ def build_basis(d, n, include_c=True):
     degrees = [m.degree for m in members]
     starts = [degrees.index(k) for k in range(n + 1)] + [len(members)]
     blocks = tuple(slice(lo, hi) for lo, hi in zip(starts, starts[1:]))
-    return PolyBasis(d=d, n=n, include_c=include_c, members=members, _pos=pos, blocks=blocks)
+    # within a block the power of c decreases, so the c-free monomials
+    # (x^j y^alpha with j + |alpha| = k, of which there are C(k + d, d)) come last
+    c_free = tuple(slice(s.stop - math.comb(k + d, d), s.stop) for k, s in enumerate(blocks))
+    return PolyBasis(d=d, n=n, include_c=include_c, members=members, _pos=pos,
+                     blocks=blocks, c_free=c_free)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,16 +133,21 @@ class GeneratorMatrix:
     matrix: np.ndarray
 
 
-def _base_power_terms(d, a, m):
-    """Expansion of (x - 1'y/a)^m as [(x-exponent, y-exponents, coeff)]."""
+def _base_power_terms(d, m):
+    """Expansion of (x - 1'y/a)^m as [(x-exponent, y-exponents, q, coeff)].
+
+    Each term is ``coeff * x^(m-q) * y^gamma / a^q`` with q = |gamma|; the
+    integer ``coeff`` carries the sign, so the cap ``a`` enters only
+    through the term factor 1/a^q.
+    """
     out = []
     for q in range(m + 1):
-        cq = math.comb(m, q) * (-1.0 / a) ** q
+        cq = math.comb(m, q) * (-1) ** q
         for gamma in _compositions(q, d):
             mult = math.factorial(q)
             for g in gamma:
                 mult //= math.factorial(g)
-            out.append((m - q, gamma, cq * mult))
+            out.append((m - q, gamma, q, cq * mult))
     return out
 
 
@@ -138,95 +157,129 @@ def _add_tuple(alpha, k, delta):
     return tuple(lst)
 
 
-def _generator_row(mi, params, jump):
-    """Coefficients of the generator applied to one monomial, as a dict."""
-    i, j, alpha = mi
-    d, a, r = params.d, params.a, params.r
-    b, beta, sigma, nu = params.b, params.beta, params.sigma, params.nu
-    out = defaultdict(float)
+def _term_factors(params, jump, n):
+    """Parameter factor of every template term: 1, r, b_k, beta_kl
+    (row-major), sigma^2/a^q (q = 0..2), nu_k^2/a^q (k-major, q = 0..1),
+    then lam E[Z^m]/a^q at m * (n + 1) + q (m, q = 0..n; zero for m < 2 and
+    without jumps)."""
+    inv_a = params.a ** -np.arange(max(n, 2) + 1.0)
+    lam_moments = np.zeros(n + 1)
+    if jump is not None and jump.active:
+        lam_moments[2:] = [jump.lam * jump_moment(jump, m) for m in range(2, n + 1)]
+    return np.concatenate((
+        [1.0, params.r], params.b, params.beta.ravel(),
+        params.sigma ** 2 * inv_a[:3], np.outer(params.nu ** 2, inv_a[:2]).ravel(),
+        np.outer(lam_moments, inv_a[:n + 1]).ravel(),
+    ))
 
-    def add(ii, jj, aa, w):
-        out[MultiIndex(ii, jj, tuple(aa))] += w
 
-    # dividend accrual: D * df/dc
-    if i:
+class _Template(NamedTuple):
+    """Generator entries on one basis: flat index ``row * size + col``, term
+    id (an index into the `_term_factors` vector) and pure-number multiplier."""
+
+    flat: np.ndarray
+    term: np.ndarray
+    mult: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _generator_template(d, n, include_c=True):
+    """The generator's sparsity pattern on ``build_basis(d, n, include_c)``.
+
+    Independent of the model inputs; raises AssertionError if an image
+    monomial escapes the basis (polynomial closure).
+    """
+    basis = build_basis(d, n, include_c)
+    # where each group of `_term_factors` starts
+    one, rate, t_b = 0, 1, 2
+    t_beta = t_b + d
+    t_sigma = t_beta + d * d
+    t_nu = t_sigma + 3
+    t_jump = t_nu + 2 * d
+    entries = []
+    for row, mi in enumerate(basis.members):
+        i, j, alpha = mi
+
+        def add(ii, jj, aa, term, mult):
+            try:
+                col = basis.position(ii, jj, aa)
+            except KeyError:  # pragma: no cover - closure violation is a bug
+                raise AssertionError(
+                    f"generator image {(ii, jj, aa)} of {mi} escapes the degree-{n} basis"
+                ) from None
+            entries.append((row * basis.size + col, term, mult))
+
+        # dividend accrual: D * df/dc
+        if i:
+            for k in range(d):
+                add(i - 1, j, _add_tuple(alpha, k, 1), one, i)
+
+        # stock drift: (r x - D) * df/dx
+        if j:
+            add(i, j, alpha, rate, j)
+            for k in range(d):
+                add(i, j - 1, _add_tuple(alpha, k, 1), one, -j)
+
+        # factor drift: sum_k (b_k x + (beta y)_k) * df/dy_k
         for k in range(d):
-            add(i - 1, j, _add_tuple(alpha, k, 1), float(i))
-
-    # stock drift: (r x - D) * df/dx
-    if j:
-        add(i, j, alpha, j * r)
-        for k in range(d):
-            add(i, j - 1, _add_tuple(alpha, k, 1), -float(j))
-
-    # factor drift: sum_k (b_k x + (beta y)_k) * df/dy_k
-    for k in range(d):
-        ak = alpha[k]
-        if not ak:
-            continue
-        down = _add_tuple(alpha, k, -1)
-        add(i, j + 1, down, ak * b[k])
-        for l in range(d):
-            add(i, j, _add_tuple(down, l, 1), ak * beta[k, l])
-
-    # stock diffusion: 0.5 sigma^2 (x - D/a)^2 * d2f/dx2
-    if j >= 2 and sigma != 0.0:
-        w = 0.5 * sigma ** 2 * j * (j - 1)
-        for dj, gamma, cf in _base_power_terms(d, a, 2):
-            aa = tuple(alpha[k] + gamma[k] for k in range(d))
-            add(i, j - 2 + dj, aa, w * cf)
-
-    # factor diffusion: 0.5 nu_k^2 y_k (x - D/a) * d2f/dy_k2
-    for k in range(d):
-        ak = alpha[k]
-        if ak < 2 or nu[k] == 0.0:
-            continue
-        w = 0.5 * nu[k] ** 2 * ak * (ak - 1)
-        down = _add_tuple(alpha, k, -1)
-        add(i, j + 1, down, w)
-        for l in range(d):
-            add(i, j, _add_tuple(down, l, 1), -w / a)
-
-    # compensated jumps: only powers m >= 2 of the jump size survive the
-    # cancellation against -f and the compensator drift
-    if jump is not None and jump.active and j >= 2:
-        for m in range(2, j + 1):
-            w = jump.lam * math.comb(j, m) * jump_moment(jump, m)
-            if w == 0.0:
+            ak = alpha[k]
+            if not ak:
                 continue
-            for dj, gamma, cf in _base_power_terms(d, a, m):
-                aa = tuple(alpha[k] + gamma[k] for k in range(d))
-                add(i, j - m + dj, aa, w * cf)
+            down = _add_tuple(alpha, k, -1)
+            add(i, j + 1, down, t_b + k, ak)
+            for l in range(d):
+                add(i, j, _add_tuple(down, l, 1), t_beta + k * d + l, ak)
 
-    return out
+        # stock diffusion: 0.5 sigma^2 (x - D/a)^2 * d2f/dx2
+        if j >= 2:
+            for dj, gamma, q, cf in _base_power_terms(d, 2):
+                aa = tuple(alpha[k] + gamma[k] for k in range(d))
+                add(i, j - 2 + dj, aa, t_sigma + q, 0.5 * j * (j - 1) * cf)
+
+        # factor diffusion: 0.5 nu_k^2 y_k (x - D/a) * d2f/dy_k2
+        for k in range(d):
+            ak = alpha[k]
+            if ak < 2:
+                continue
+            w = 0.5 * ak * (ak - 1)
+            down = _add_tuple(alpha, k, -1)
+            add(i, j + 1, down, t_nu + 2 * k, w)
+            for l in range(d):
+                add(i, j, _add_tuple(down, l, 1), t_nu + 2 * k + 1, -w)
+
+        # compensated jumps: only powers m >= 2 of the jump size survive the
+        # cancellation against -f and the compensator drift
+        for m in range(2, j + 1):
+            for dj, gamma, q, cf in _base_power_terms(d, m):
+                aa = tuple(alpha[k] + gamma[k] for k in range(d))
+                add(i, j - m + dj, aa, t_jump + m * (n + 1) + q, math.comb(j, m) * cf)
+
+    flat, term, mult = zip(*entries)
+    tpl = _Template(np.array(flat), np.array(term), np.array(mult, dtype=float))
+    for arr in tpl:
+        arr.flags.writeable = False
+    return tpl
 
 
 def build_generator(params, jump, basis):
     """Generator matrix on `basis` for admissible parameters.
 
     Raises :class:`InadmissibleParamsError` if the inward-drift conditions
-    fail.  Construction asserts polynomial closure: every image monomial
-    must already belong to the basis.
+    fail.  The matrix is the basis's cached template weighted by the
+    parameter factors; building the template asserts polynomial closure.
     """
+    if params.d != basis.d:
+        raise InvalidParameterError(f"parameters have d={params.d}, the basis d={basis.d}")
     report = validate_admissibility(params)
     if not report.admissible:
         raise InadmissibleParamsError(
             "parameters violate the inward-drift conditions: "
             f"factor slacks {report.factor_slack}, cap slack {report.cap_slack:.6g}"
         )
+    tpl = _generator_template(basis.d, basis.n, basis.include_c)
+    weights = tpl.mult * _term_factors(params, jump, basis.n)[tpl.term]
     size = basis.size
-    mat = np.zeros((size, size))
-    for row, mi in enumerate(basis.members):
-        for target, w in _generator_row(mi, params, jump).items():
-            if w == 0.0:
-                continue
-            try:
-                col = basis.position(*target)
-            except KeyError:  # pragma: no cover - closure violation is a bug
-                raise AssertionError(
-                    f"generator image {target} of {mi} escapes the degree-{basis.n} basis"
-                ) from None
-            mat[row, col] += w
+    mat = np.bincount(tpl.flat, weights=weights, minlength=size * size).reshape(size, size)
     return GeneratorMatrix(basis=basis, matrix=mat)
 
 

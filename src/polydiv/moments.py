@@ -106,9 +106,15 @@ def cumulative_dividend_moments(params, jump, state, t, T0, T1, n):
     Given the state at T0, C_T1 - C_T0 accrues like C restarted from 0 (the
     Markov property).  So E_T0[(C_T1 - C_T0)^k] is the c^k row of
     ``expm(G_k (T1 - T0))`` on the degree-k block, restricted to the c-free
-    monomials, evaluated at the time-T0 state; M_k is that row dotted with
-    the degree-k block propagated over T0 - t from the current state.  The
-    result does not depend on ``state.c``, and T0 = t needs no special case.
+    monomials: a polynomial in the time-T0 state.  The generator keeps the
+    c-free sub-block G_f of each degree block closed, so M_k is that row
+    times ``expm(G_f (T0 - t))`` times the c-free monomials of the current
+    state.  Both exponentials act on the row (as exponentials of the
+    transposed blocks), carrying the polynomial's coefficients back to t.
+    Propagating the state monomials forward to T0 instead gives the small
+    c-free moments of high degree absolute errors of the size of the large
+    ones, which loses M_5 and M_6 of late windows.  The result does not
+    depend on ``state.c``, and T0 = t needs no special case.
     """
     if n < 1 or int(n) != n:
         raise InvalidParameterError(f"need moment count n >= 1, got {n}")
@@ -118,15 +124,15 @@ def cumulative_dividend_moments(params, jump, state, t, T0, T1, n):
         raise InvalidParameterError(f"need T0 <= T1, got T1={T1} < T0={T0}")
     n = int(n)
     basis = build_basis(params.d, n, include_c=True)
-    gen = build_generator(params, jump, basis)
-    at_t0 = expm_apply(gen, T0 - t, eval_basis(basis, state))
-    c_free = np.array([m.i == 0 for m in basis.members])
-    zeros = (0,) * params.d
+    mat = build_generator(params, jump, basis).matrix
+    h = eval_basis(basis, state)
     out = np.empty(n)
     for k in range(1, n + 1):
-        s = basis.blocks[k]
-        row = expm(gen.matrix[s, s] * (T1 - T0))[basis.position(k, 0, zeros) - s.start]
-        out[k - 1] = row[c_free[s]] @ at_t0[s][c_free[s]]
+        s, f = basis.blocks[k], basis.c_free[k]
+        unit = np.zeros(s.stop - s.start)
+        unit[0] = 1.0                       # c^k leads its block
+        row = expm_apply(mat[s, s].T, T1 - T0, unit)[f.start - s.start:]
+        out[k - 1] = expm_apply(mat[f, f].T, T0 - t, row) @ h[f]
     return out
 
 

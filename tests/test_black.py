@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import polydiv
 from polydiv.black import black76_price, black_scholes_price, implied_vol
 from polydiv.errors import DomainError, InvalidParameterError
 
@@ -93,3 +97,13 @@ class TestImpliedVol:
         p1 = black_scholes_price(1.0, 1.0, 0.25, 0.23, 0.01, q)
         p2 = black76_price(fwd, 1.0, 0.25, 0.23, 0.01)
         assert p1 == pytest.approx(p2, rel=1e-12)
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # the normal CDF comes from scipy.special; scipy.stats costs about 0.4 s
+    # of every command-line start
+    src = os.path.dirname(os.path.dirname(os.path.abspath(polydiv.__file__)))
+    code = "import sys, polydiv.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "False"

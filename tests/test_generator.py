@@ -33,6 +33,14 @@ class TestBasis:
         for pos, m in enumerate(b.members):
             assert b.position(m.i, m.j, m.alpha) == pos
 
+    @pytest.mark.parametrize("d,n,include_c", [(1, 6, True), (3, 6, True), (2, 3, False)])
+    def test_c_free_tails(self, d, n, include_c):
+        b = build_basis(d, n, include_c)
+        for k, (s, f) in enumerate(zip(b.blocks, b.c_free)):
+            assert s.start <= f.start and f.stop == s.stop
+            assert [m.i == 0 for m in b.members[s]] == [p >= f.start for p in range(s.start, s.stop)]
+            assert f.stop - f.start == math.comb(k + d, d)
+
     def test_degree_zero_rejected(self):
         with pytest.raises(InvalidParameterError):
             build_basis(1, 0)
@@ -82,6 +90,10 @@ class TestGeneratorMatrix:
             # degree >= 2 in x must differ
             assert not np.allclose(g0.matrix, gj.matrix)
 
+    def test_factor_count_must_match_basis(self, params_a02):
+        with pytest.raises(InvalidParameterError):
+            build_generator(params_a02, None, build_basis(2, 2))
+
     def test_inadmissible_params_rejected(self):
         p = ModelParams.single_factor(r=0.01, a=0.2, sigma=0.3, b=-0.01, beta=-0.3, nu=0.02)
         with pytest.raises(InadmissibleParamsError):
@@ -127,12 +139,16 @@ class TestPointwiseOracle:
         jumps = [None,
                  JumpSpec(lam=0.7, dist=PointMass(-0.35)),
                  JumpSpec(lam=1.3, dist=TwoPoint(-0.5, 0.4, 0.6))]
-        for trial in range(60):
-            d = int(rng.integers(1, 4))
+        # 60 random models on degree-4 bases, then the largest basis the
+        # engine uses: d = 3, n = 6 (462 monomials) with the two-point jump
+        for trial in range(63):
+            if trial < 60:
+                d, n, jump = int(rng.integers(1, 4)), 4, jumps[trial % 3]
+            else:
+                d, n, jump = 3, 6, jumps[2]
             params = random_admissible_params(rng, d)
             state = random_state_in_E(rng, params)
-            jump = jumps[trial % 3]
-            basis = build_basis(d, 4)
+            basis = build_basis(d, n)
             gen = build_generator(params, jump, basis)
             coeffs = rng.standard_normal(basis.size)
             via_matrix = float(coeffs @ (gen.matrix @ eval_basis(basis, state)))
@@ -144,6 +160,9 @@ class TestPointwiseOracle:
             for s in basis.blocks:
                 off_block[s, s] = 0.0
             assert not off_block.any()
+            # nor does it raise the power of c: c-free rows stay c-free
+            for s, f in zip(basis.blocks, basis.c_free):
+                assert not gen.matrix[f, s.start:f.start].any()
             h = eval_basis(basis, state)
             whole = expm_apply(gen.matrix, 0.8, h)
             np.testing.assert_allclose(expm_apply(gen, 0.8, h), whole, rtol=0,
