@@ -30,11 +30,11 @@ from .moments import dividend_futures, stock_futures
 PENALTY_WEIGHT = 1e6
 
 FREE_NAMES = ("b", "q", "sigma", "nu1", "d0")
-# Relative finite-difference step.  Between nearby sigma the maxent dividend
-# IV jitters by about 2.5e-6, so its finite-difference slope is noise below
-# steps of about 1e-3: from jittered starts, scipy's default step stalls up
-# to 9% above the optimum that 1e-3 reaches.
-DIFF_STEP = 1e-3
+# Relative finite-difference step.  Near the snapshot fit the dividend IV
+# scatters about a line in sigma with sd 1.6e-10, far below what 1e-5 steps
+# resolve: from 12 starts, joint and two-stage, 1e-5 reached 7.5868493 on
+# every fit in 30-43 evaluations (1e-3: up to 7.5868495 in 31-79).
+DIFF_STEP = 1e-5
 # Floor of the cap slack q: at q = 0, validate_admissibility's r - a - beta
 # - b/a rounds to about -1e-17 for some b and rejects the point.
 Q_FLOOR = 1e-12
@@ -129,7 +129,6 @@ class CalibConfig:
     start_sigma: float = 0.3
     start_nu: float = 0.02
     start_d0: float = None          # default: DF1 quote / (spot * window length)
-    weight_futures: float = 1.0
     weight_iv: float = 1e4
     n_moments: int = 6
     two_stage: bool = False
@@ -138,8 +137,8 @@ class CalibConfig:
     def __post_init__(self):
         if not self.a > 0:
             raise InvalidParameterError(f"need a > 0, got {self.a}")
-        if self.weight_futures < 0 or self.weight_iv < 0:
-            raise InvalidParameterError("weights must be non-negative")
+        if self.weight_iv < 0:
+            raise InvalidParameterError(f"need weight_iv >= 0, got {self.weight_iv}")
         if self.n_moments < 2:
             raise InvalidParameterError(f"need n_moments >= 2, got {self.n_moments}")
         # the start plus one finite-difference Jacobian in every stage: 1 + 5
@@ -261,7 +260,7 @@ def objective(param_vector, market, config):
 
 
 def _weight(kind, config):
-    return config.weight_futures if kind == "futures" else config.weight_iv
+    return 1.0 if kind == "futures" else config.weight_iv
 
 
 def _vector_from_free(z, config):
@@ -359,6 +358,9 @@ def calibrate(market, config):
             f"trace: {trace}"
         )
     rows = pricing_errors(params, d0, market, config.n_moments)
+    # a parameter that no stage fitted sits at its start value
+    fitted = {name for rec in records for name in rec["parameters"]}
     return CalibResult(params=params, d0=float(d0), instruments=rows,
                        objective=objective(x_best, market, config), trace=trace,
-                       admissibility=report, underdetermined=market.n_instruments < 5)
+                       admissibility=report,
+                       underdetermined=market.n_instruments < 5 or fitted != set(FREE_NAMES))

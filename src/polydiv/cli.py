@@ -26,7 +26,7 @@ from dataclasses import asdict, is_dataclass
 
 import numpy as np
 
-from . import __version__
+from . import __version__, model
 from .calibration import (
     CalibConfig,
     DividendIvQuote,
@@ -124,21 +124,7 @@ def parse_model_config(path, require_admissible=True):
         raise ConfigError(f"y0 must have length d={params.d}, got {state.y.shape}")
 
     if require_admissible:
-        report = validate_admissibility(params)
-        if not report.admissible:
-            problems = []
-            for k, s in enumerate(np.atleast_1d(report.factor_slack)):
-                if s < 0:
-                    problems.append(
-                        f"factor drift condition violated for component {k + 1}: "
-                        f"b + a*min(offdiag beta)^- = {s:.6g} < 0"
-                    )
-            if report.cap_slack < 0:
-                problems.append(
-                    "yield-cap drift condition violated: "
-                    f"r - a - max colsum(beta) - sum(b)/a = {report.cap_slack:.6g} < 0"
-                )
-            raise InadmissibleParamsError("; ".join(problems))
+        model.require_admissible(params)
     return params, jump, state, raw
 
 
@@ -285,14 +271,7 @@ def _emit(report, out_dir, csv_files=()):
 def _cmd_validate(args):
     params, jump, state, echo = parse_model_config(args.config, require_admissible=False)
     report = validate_admissibility(params)
-    payload = {
-        "admissible": report.admissible,
-        "factor_slack": report.factor_slack,
-        "cap_slack": report.cap_slack,
-        "factor_interior": report.factor_interior,
-        "cap_interior": report.cap_interior,
-    }
-    _emit(_report("validate", echo, payload, started=args._t0), args.out)
+    _emit(_report("validate", echo, asdict(report), started=args._t0), args.out)
     return EXIT_OK if report.admissible else EXIT_VALIDATION
 
 

@@ -29,8 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InadmissibleParamsError, InvalidParameterError
-from .model import jump_moment, validate_admissibility
+from .errors import InvalidParameterError
+from .model import jump_moment, require_admissible
 
 
 class MultiIndex(NamedTuple):
@@ -270,12 +270,7 @@ def build_generator(params, jump, basis):
     """
     if params.d != basis.d:
         raise InvalidParameterError(f"parameters have d={params.d}, the basis d={basis.d}")
-    report = validate_admissibility(params)
-    if not report.admissible:
-        raise InadmissibleParamsError(
-            "parameters violate the inward-drift conditions: "
-            f"factor slacks {report.factor_slack}, cap slack {report.cap_slack:.6g}"
-        )
+    require_admissible(params)
     tpl = _generator_template(basis.d, basis.n, basis.include_c)
     weights = tpl.mult * _term_factors(params, jump, basis.n)[tpl.term]
     size = basis.size

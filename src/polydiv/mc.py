@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, InadmissibleParamsError, InvalidParameterError
-from .model import PointMass, State, in_state_space, validate_admissibility
+from .errors import ConfigError, DomainError, InvalidParameterError
+from .model import PointMass, State, in_state_space, require_admissible
 from .moments import dividend_futures, stock_futures
 
 BLOCK_SIZE = 4096          # paths per RNG block; fixed for reproducibility
@@ -170,9 +170,7 @@ def simulate_paths(params, jump, state0, config, workers=None):
             f"initial state outside E: x={membership.x}, min_y={membership.min_y}, "
             f"cap slack={membership.cap_slack}"
         )
-    report = validate_admissibility(params)
-    if not report.admissible:
-        raise InadmissibleParamsError("simulation requires admissible parameters")
+    require_admissible(params)
 
     dt = 1.0 / config.steps_per_year
     n_steps = max(1, round(config.horizon * config.steps_per_year))
@@ -263,6 +261,15 @@ class McEstimate:
 _Z95 = 1.959963984540054
 
 
+def _estimate(samples, scale=1.0, **labels):
+    """Mean of `samples` times `scale`, with its standard error and 95% CI."""
+    n = samples.size
+    value = scale * float(samples.mean())
+    se = scale * float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return McEstimate(value=value, std_error=se, ci_low=value - _Z95 * se,
+                      ci_high=value + _Z95 * se, n_paths=n, **labels)
+
+
 def _underlying_values(bundle, underlying):
     if underlying == "stock":
         return bundle.terminal_x
@@ -307,40 +314,18 @@ def mc_price(bundle, payoff, discount, control="none", underlying="stock"):
     else:
         raise InvalidParameterError(f"unknown control {control!r}")
 
-    mean = float(samples.mean())
-    se = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    value = discount * mean
-    dse = discount * se
-    return McEstimate(
-        value=value,
-        std_error=dse,
-        ci_low=value - _Z95 * dse,
-        ci_high=value + _Z95 * dse,
-        n_paths=n,
-        control=control,
-        control_coef=float(coef),
-    )
+    return _estimate(samples, discount, control=control, control_coef=float(coef))
 
 
-def martingale_diagnostic(bundle, params=None):
+def martingale_diagnostic(bundle):
     """Sample estimate of the discounted gains at the horizon versus X_0.
 
     The discounted gains process (discounted stock plus accumulated
     discounted dividends) is a martingale, so its expectation must equal
     the initial stock price at every horizon.
     """
-    params = params if params is not None else bundle.params
-    values = math.exp(-params.r * bundle.horizon) * bundle.terminal_x + bundle.disc_div
-    n = values.size
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return McEstimate(
-        value=mean,
-        std_error=se,
-        ci_low=mean - _Z95 * se,
-        ci_high=mean + _Z95 * se,
-        n_paths=n,
-    )
+    values = math.exp(-bundle.params.r * bundle.horizon) * bundle.terminal_x + bundle.disc_div
+    return _estimate(values)
 
 
 @dataclass(frozen=True)

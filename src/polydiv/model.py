@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameterError
+from .errors import DomainError, InadmissibleParamsError, InvalidParameterError
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,6 +235,25 @@ def validate_admissibility(params):
         factor_interior=factor_interior,
         cap_interior=cap_interior,
     )
+
+
+def require_admissible(params):
+    """Raise :class:`InadmissibleParamsError`, naming each violated
+    inward-drift inequality, unless the parameters are admissible."""
+    report = validate_admissibility(params)
+    if report.admissible:
+        return
+    problems = [
+        f"factor drift condition violated for component {k + 1}: "
+        f"b + a*min(offdiag beta)^- = {s:.6g} < 0"
+        for k, s in enumerate(report.factor_slack) if s < 0
+    ]
+    if not report.cap_slack >= 0:
+        problems.append(
+            "yield-cap drift condition violated: "
+            f"r - a - max colsum(beta) - sum(b)/a = {report.cap_slack:.6g} < 0"
+        )
+    raise InadmissibleParamsError("; ".join(problems))
 
 
 def in_state_space(params, state):

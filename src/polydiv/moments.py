@@ -6,10 +6,10 @@ monomials propagate through the matrix exponential of the generator,
     E_t[H(C_T, X_T, Y_T)] = expm(G * (T - t)) @ H(C_t, X_t, Y_t).
 
 The generator preserves total degree, so the exponential is taken one
-degree block at a time.  Futures prices are degree-one entries of this
-vector; moments of dividends paid over a window [T0, T1] restart the
-accrual at T0 (the Markov property); and the present value of future
-dividends uses the same linear algebra on a discount-tilted drift matrix.
+degree block at a time; moments of dividends paid over a window [T0, T1]
+restart the accrual at T0 (the Markov property).  Futures prices and the
+dividend present value need only degree one, where the diffusions and the
+compensated jumps drop out: they solve the (2 + d) linear drift ODE.
 """
 
 from dataclasses import dataclass
@@ -20,6 +20,7 @@ from scipy.linalg import expm
 
 from .errors import DomainError, InvalidParameterError, NumericError
 from .generator import GeneratorMatrix, build_basis, build_generator, eval_basis
+from .model import State, require_admissible
 
 
 def expm_apply(gen, dt, v):
@@ -79,24 +80,48 @@ def conditional_moments(params, jump, state, t, T, n):
     return MomentSet(basis=basis, t=t, T=T, values=values)
 
 
+def _degree_one_moments(params, state, dt, rate=0.0):
+    """E_t[(C_T - C_t, X_T, Y_T)] discounted at `rate`, T = t + dt, for
+    admissible parameters: an accumulator row (d acc = 1'y) on top of the
+    (x, y) drift ``[[r - rate, -1'], [b, beta - rate I]]``."""
+    d = params.d
+    mat = np.zeros((2 + d, 2 + d))
+    mat[0, 2:] = 1.0
+    mat[1, 1] = params.r - rate
+    mat[1, 2:] = -1.0
+    mat[2:, 1] = params.b
+    mat[2:, 2:] = params.beta - rate * np.eye(d)
+    return expm_apply(mat, dt, np.concatenate(([0.0, state.x], state.y)))
+
+
 def stock_futures(params, jump, state, t, T):
-    """Futures price on the stock: E_t[X_T]."""
-    ms = conditional_moments(params, jump, state, t, T, 1)
-    return ms.value(j=1)
+    """Futures price on the stock: E_t[X_T].
+
+    `jump` does not enter: compensated jumps leave every mean unchanged.
+    """
+    if T < t:
+        raise InvalidParameterError(f"need T >= t, got T={T} < t={t}")
+    require_admissible(params)
+    return float(_degree_one_moments(params, state, T - t)[1])
 
 
 def dividend_futures(params, jump, state, t, T0, T1):
     """Futures price on dividends paid over [T0, T1]: E_t[C_T1 - C_T0].
 
-    For a window that has already started (T0 < t) the state's ``c`` must
-    measure dividends accrued since the window start; the price is then
-    ``state.c`` plus the dividends still to come, E_t[C_T1 - C_t].
+    The expected (x, y) at max(T0, t) is propagated over the window from a
+    zero accrual.  For a window that has already started (T0 < t) the
+    state's ``c`` must measure dividends accrued since the window start;
+    the price is then ``state.c`` plus the dividends still to come,
+    E_t[C_T1 - C_t].  `jump` does not enter, as in :func:`stock_futures`.
     """
     if T1 < T0:
         raise InvalidParameterError(f"need T1 >= T0, got T1={T1} < T0={T0}")
     if T1 < t:
         raise InvalidParameterError(f"window end T1={T1} lies before t={t}")
-    to_come = cumulative_dividend_moments(params, jump, state, t, max(T0, t), T1, 1)[0]
+    require_admissible(params)
+    start = max(T0, t)
+    at_start = _degree_one_moments(params, state, start - t)
+    to_come = _degree_one_moments(params, State(0.0, at_start[1], at_start[2:]), T1 - start)[0]
     return float(to_come + (state.c if T0 < t else 0.0))
 
 
@@ -158,21 +183,14 @@ def pv_dividends(params, state, horizon):
     """Present value of dividends over [t, t+horizon] plus the discounted
     expected terminal stock price.
 
-    Computed from the discount-tilted linear drift system (subtract r from
-    the diagonal of the (x, y) block and graft an accumulator row), so the
+    Computed from the degree-one drift system discounted at r, so the
     identity ``pv + discounted_terminal == state.x`` holds to numerical
     precision for every horizon.
     """
     if horizon < 0:
         raise InvalidParameterError(f"need horizon >= 0, got {horizon}")
-    d = params.d
-    mat = np.zeros((2 + d, 2 + d))
-    mat[0, 2:] = 1.0                     # accumulates discounted dividends
-    mat[1, 2:] = -1.0                    # d/ds E[e^{-rs} X_s]
-    mat[2:, 1] = params.b
-    mat[2:, 2:] = params.beta - params.r * np.eye(d)
-    v0 = np.concatenate(([0.0, state.x], state.y))
-    out = expm_apply(mat, horizon, v0)
+    require_admissible(params)
+    out = _degree_one_moments(params, state, horizon, rate=params.r)
     return PresentValue(pv_dividends=float(out[0]), discounted_terminal=float(out[1]))
 
 

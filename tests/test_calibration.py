@@ -162,7 +162,7 @@ class TestObjective:
                                       b=vec[0], beta=vec[1], nu=vec[3])
         rows = pricing_errors(p, vec[4], market, cfg.n_moments)
         expect = sum(
-            (cfg.weight_futures if r.kind == "futures" else cfg.weight_iv) * r.abs_error ** 2
+            (1.0 if r.kind == "futures" else cfg.weight_iv) * r.abs_error ** 2
             for r in rows
         )
         assert objective(vec, market, cfg) == pytest.approx(expect, rel=1e-12)
@@ -247,6 +247,7 @@ class TestCalibrate:
         assert res.objective <= 1e-12
         assert res.admissibility.admissible and 0.0 <= res.d0 <= a
         assert [rec["parameters"] for rec in res.trace["stages"]] == [["b", "q", "d0"]]
+        assert res.underdetermined
 
     @pytest.mark.parametrize("two_stage", [False, True], ids=["joint", "two_stage"])
     def test_shipped_snapshot_converges(self, two_stage):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from polydiv.errors import InvalidParameterError, NumericError
+from polydiv.errors import InadmissibleParamsError, InvalidParameterError, NumericError
 from polydiv.generator import build_basis, build_generator, eval_basis
 from polydiv.model import JumpSpec, ModelParams, State, TwoPoint
 from polydiv.moments import (
@@ -129,6 +129,46 @@ class TestFutures:
     def test_window_order_errors(self, params_a02, state0):
         with pytest.raises(InvalidParameterError):
             dividend_futures(params_a02, None, state0, 0.0, 2.0, 1.0)
+
+    @pytest.mark.parametrize("jump", [None, JumpSpec(lam=1.3, dist=TwoPoint(-0.5, 0.4, 0.6))],
+                             ids=["diffusion", "two_point_jump"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_agrees_with_generator_path(self, d, jump):
+        # the degree-one drift system against the generator's degree-one
+        # block, and the PV against the discount-tilted matrix written out
+        rng = np.random.default_rng(10 + d)
+        params = random_admissible_params(rng, d)
+        state = random_state_in_E(rng, params)
+        ms = conditional_moments(params, jump, state, 0.2, 1.9, 1)
+        assert stock_futures(params, jump, state, 0.2, 1.9) == pytest.approx(
+            ms.value(j=1), rel=1e-12)
+        for t0, t1 in [(0.2, 1.2), (1.5, 3.0)]:
+            m1 = cumulative_dividend_moments(params, jump, state, 0.2, t0, t1, 1)[0]
+            assert dividend_futures(params, jump, state, 0.2, t0, t1) == pytest.approx(
+                m1, rel=1e-12)
+        to_come = cumulative_dividend_moments(params, jump, state, 0.2, 0.2, 1.4, 1)[0]
+        assert dividend_futures(params, jump, state, 0.2, -0.3, 1.4) == pytest.approx(
+            state.c + to_come, rel=1e-12)
+
+        r, horizon = params.r, 4.5
+        tilted = np.zeros((2 + d, 2 + d))
+        tilted[0, 2:] = 1.0
+        tilted[1, 2:] = -1.0
+        tilted[2:, 1] = params.b
+        tilted[2:, 2:] = params.beta - r * np.eye(d)
+        ref = expm(tilted * horizon) @ np.concatenate(([0.0, state.x], state.y))
+        pv = pv_dividends(params, state, horizon)
+        np.testing.assert_allclose([pv.pv_dividends, pv.discounted_terminal], ref[:2], rtol=1e-12)
+
+    def test_inadmissible_rejected(self, state0):
+        # beta = 0.5 breaks the yield-cap inequality r - a - beta - b/a >= 0
+        p = ModelParams.single_factor(r=0.01, a=0.2, sigma=0.3, b=0.0103, beta=0.5, nu=0.02)
+        with pytest.raises(InadmissibleParamsError):
+            stock_futures(p, None, state0, 0.0, 1.0)
+        with pytest.raises(InadmissibleParamsError):
+            dividend_futures(p, None, state0, 0.0, 0.0, 1.0)
+        with pytest.raises(InadmissibleParamsError):
+            pv_dividends(p, state0, 1.0)
 
 
 class TestCumulativeDividendMoments:
