@@ -256,11 +256,15 @@ def objective(param_vector, market, config):
         rows = pricing_errors(params, d0, market, config.n_moments)
     except PolydivError:
         return 1e12 * (1.0 + pen / PENALTY_WEIGHT)
-    return float(pen + sum(_weight(row.kind, config) * row.abs_error ** 2 for row in rows))
+    return float(pen + _misfit(rows, config))
 
 
 def _weight(kind, config):
     return 1.0 if kind == "futures" else config.weight_iv
+
+
+def _misfit(rows, config):
+    return sum(_weight(row.kind, config) * row.abs_error ** 2 for row in rows)
 
 
 def _vector_from_free(z, config):
@@ -360,7 +364,8 @@ def calibrate(market, config):
     rows = pricing_errors(params, d0, market, config.n_moments)
     # a parameter that no stage fitted sits at its start value
     fitted = {name for rec in records for name in rec["parameters"]}
+    # inside the box the penalty of `objective` is exactly 0
     return CalibResult(params=params, d0=float(d0), instruments=rows,
-                       objective=objective(x_best, market, config), trace=trace,
+                       objective=float(_misfit(rows, config)), trace=trace,
                        admissibility=report,
                        underdetermined=market.n_instruments < 5 or fitted != set(FREE_NAMES))

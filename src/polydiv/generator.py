@@ -3,8 +3,13 @@
 The augmented process (C, X, Y) is polynomial: its generator maps
 polynomials of total degree <= n into themselves.  On a fixed monomial
 basis H the action is therefore a matrix G with G @ H(state) equal to
-the generator applied to H componentwise, and conditional moments follow
-from ``expm(G * dt) @ H(state)``.
+the generator applied to H componentwise.  A polynomial with coefficient
+row u has the conditional expectation
+
+    E_t[u' H(C_T, X_T, Y_T)] = (expm(G' (T - t)) u)' H(C_t, X_t, Y_t):
+
+its coefficients are carried back over the horizon and evaluated at the
+current state.
 
 Monomials c^i x^j y^alpha are ordered graded-lexicographically with
 c < x < y_1 < ... < y_d, the constant monomial first.  The generator
@@ -60,15 +65,15 @@ class PolyBasis:
     """Ordered monomial basis of degree <= n in (c, x, y_1..y_d).
 
     ``blocks[k]`` is the slice of ``members`` holding the monomials of total
-    degree k, and ``c_free[k]`` its tail of c-free monomials (all of it
-    without ``c``).
+    degree k, and ``c_free[k]`` its tail of c-free monomials.  Row p of
+    ``exponents`` holds the exponents (i, j, alpha) of ``members[p]``.
     """
 
     d: int
     n: int
-    include_c: bool
     members: tuple
     _pos: dict = field(repr=False)
+    exponents: np.ndarray = field(repr=False)
     blocks: tuple = field(repr=False)
     c_free: tuple = field(repr=False)
 
@@ -82,31 +87,18 @@ class PolyBasis:
 
     def eval(self, c, x, y):
         """Componentwise monomial evaluation, in basis order."""
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        out = np.empty(self.size)
-        for pos, (i, j, alpha) in enumerate(self.members):
-            v = (c ** i) * (x ** j)
-            for k, ak in enumerate(alpha):
-                if ak:
-                    v *= y[k] ** ak
-            out[pos] = v
-        return out
+        point = np.concatenate(([c, x], np.atleast_1d(np.asarray(y, dtype=float))))
+        return np.prod(point ** self.exponents, axis=1)
 
 
 @lru_cache(maxsize=None)
-def build_basis(d, n, include_c=True):
-    """Graded-lex monomial basis of degree <= n in 2+d (or 1+d) variables."""
+def build_basis(d, n):
+    """Graded-lex monomial basis of degree <= n in the 2+d variables (c, x, y)."""
     if d < 1:
         raise InvalidParameterError(f"need d >= 1, got {d}")
     if n < 1:
         raise InvalidParameterError(f"need basis degree n >= 1, got {n}")
-    members = []
-    i_max = n if include_c else 0
-    for i in range(i_max + 1):
-        for j in range(n - i + 1):
-            for q in range(n - i - j + 1):
-                for alpha in _compositions(q, d):
-                    members.append(MultiIndex(i, j, alpha))
+    members = [MultiIndex(e[0], e[1], e[2:]) for k in range(n + 1) for e in _compositions(k, 2 + d)]
     members.sort(key=lambda m: (m.degree, tuple(-e for e in (m.i, m.j) + m.alpha)))
     members = tuple(members)
     pos = {m: k for k, m in enumerate(members)}
@@ -117,7 +109,9 @@ def build_basis(d, n, include_c=True):
     # within a block the power of c decreases, so the c-free monomials
     # (x^j y^alpha with j + |alpha| = k, of which there are C(k + d, d)) come last
     c_free = tuple(slice(s.stop - math.comb(k + d, d), s.stop) for k, s in enumerate(blocks))
-    return PolyBasis(d=d, n=n, include_c=include_c, members=members, _pos=pos,
+    exponents = np.array([(i, j) + alpha for i, j, alpha in members])
+    exponents.flags.writeable = False
+    return PolyBasis(d=d, n=n, members=members, _pos=pos, exponents=exponents,
                      blocks=blocks, c_free=c_free)
 
 
@@ -183,13 +177,13 @@ class _Template(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _generator_template(d, n, include_c=True):
-    """The generator's sparsity pattern on ``build_basis(d, n, include_c)``.
+def _generator_template(d, n):
+    """The generator's sparsity pattern on ``build_basis(d, n)``.
 
     Independent of the model inputs; raises AssertionError if an image
     monomial escapes the basis (polynomial closure).
     """
-    basis = build_basis(d, n, include_c)
+    basis = build_basis(d, n)
     # where each group of `_term_factors` starts
     one, rate, t_b = 0, 1, 2
     t_beta = t_b + d
@@ -271,7 +265,7 @@ def build_generator(params, jump, basis):
     if params.d != basis.d:
         raise InvalidParameterError(f"parameters have d={params.d}, the basis d={basis.d}")
     require_admissible(params)
-    tpl = _generator_template(basis.d, basis.n, basis.include_c)
+    tpl = _generator_template(basis.d, basis.n)
     weights = tpl.mult * _term_factors(params, jump, basis.n)[tpl.term]
     size = basis.size
     mat = np.bincount(tpl.flat, weights=weights, minlength=size * size).reshape(size, size)

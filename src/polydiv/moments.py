@@ -1,17 +1,19 @@
 """Conditional moments, futures prices, and present-value diagnostics.
 
-Everything here rests on one identity: conditional expectations of basis
-monomials propagate through the matrix exponential of the generator,
+Everything here rests on the polynomial moment formula: a polynomial with
+coefficient row u on the basis monomials H has
 
-    E_t[H(C_T, X_T, Y_T)] = expm(G * (T - t)) @ H(C_t, X_t, Y_t).
+    E_t[u' H(C_T, X_T, Y_T)] = (expm(G' (T - t)) u)' H(C_t, X_t, Y_t).
 
-The generator preserves total degree, so the exponential is taken one
-degree block at a time; moments of dividends paid over a window [T0, T1]
-restart the accrual at T0 (the Markov property).  Futures prices and the
-dividend present value need only degree one, where the diffusions and the
-compensated jumps drop out: they solve the (2 + d) linear drift ODE.
+Every moment is such a row, carried back on one degree block of G (or on
+its closed c-free sub-block) and dotted with the current state's monomials,
+so small high-degree moments do not inherit the absolute errors of large
+ones.  Window dividends restart the accrual at T0 (the Markov property).
+Futures prices and the dividend present value need only degree one, where
+the diffusions and the compensated jumps drop out: the (2 + d) drift matrix.
 """
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -19,39 +21,37 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import DomainError, InvalidParameterError, NumericError
-from .generator import GeneratorMatrix, build_basis, build_generator, eval_basis
-from .model import State, require_admissible
+from .generator import build_basis, build_generator, eval_basis
+from .model import require_admissible
 
 
-def expm_apply(gen, dt, v):
-    """Apply the matrix exponential: ``expm(G * dt) @ v``.
+def expm_apply(mat, dt, v):
+    """Apply the matrix exponential: ``expm(mat * dt) @ v``.
 
-    A :class:`GeneratorMatrix` is exponentiated one degree block of its
-    basis at a time (all-zero blocks, such as the constant monomial's, pass
-    through unchanged); a plain matrix is one block.  ``dt = 0`` returns a
-    copy of ``v`` exactly.  Uses scaling-and-squaring with the 13th-order
-    rational approximant underneath.
+    ``v`` is a vector or a matrix of columns.  ``dt = 0`` returns a copy of
+    ``v`` exactly.  Uses scaling-and-squaring with the 13th-order rational
+    approximant underneath.
     """
-    if isinstance(gen, GeneratorMatrix):
-        mat, blocks = gen.matrix, gen.basis.blocks
-    else:
-        mat = np.asarray(gen, dtype=float)
-        blocks = (slice(None),)
+    mat = np.asarray(mat, dtype=float)
     v = np.asarray(v, dtype=float)
     if dt < 0:
         raise InvalidParameterError(f"need dt >= 0, got {dt}")
     if not np.all(np.isfinite(mat)) or not np.all(np.isfinite(v)):
         raise NumericError("non-finite entries in matrix-exponential input")
-    out = v.copy()
     if dt == 0:
-        return out
-    for s in blocks:
-        block = mat[s, s]
-        if block.any():
-            out[s] = expm(block * dt) @ v[s]
+        return v.copy()
+    out = expm(mat * dt) @ v
     if not np.all(np.isfinite(out)):
         raise NumericError("matrix exponential produced non-finite values")
     return out
+
+
+def _check_moment_args(name, count, t, T, T_name="T"):
+    """Reject a moment count that is not an integer >= 1, and T < t."""
+    if not isinstance(count, numbers.Real) or not float(count).is_integer() or count < 1:
+        raise InvalidParameterError(f"need an integer {name} >= 1, got {count!r}")
+    if T < t:
+        raise InvalidParameterError(f"need {T_name} >= t, got {T_name}={T} < t={t}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,19 +71,23 @@ class MomentSet:
 
 
 def conditional_moments(params, jump, state, t, T, n):
-    """All mixed moments of (C_T, X_T, Y_T) up to total degree n, given time t."""
-    if T < t:
-        raise InvalidParameterError(f"need T >= t, got T={T} < t={t}")
-    basis = build_basis(params.d, n, include_c=True)
-    gen = build_generator(params, jump, basis)
-    values = expm_apply(gen, T - t, eval_basis(basis, state))
+    """All mixed moments of (C_T, X_T, Y_T) up to total degree n, given time t:
+    ``H_B(state) @ expm(B' (T - t))`` on each degree block B, one row each."""
+    _check_moment_args("n", n, t, T)
+    basis = build_basis(params.d, int(n))
+    mat = build_generator(params, jump, basis).matrix
+    h = eval_basis(basis, state)
+    values = np.concatenate([h[s] @ expm_apply(mat[s, s].T, T - t, np.eye(s.stop - s.start))
+                             for s in basis.blocks])
     return MomentSet(basis=basis, t=t, T=T, values=values)
 
 
-def _degree_one_moments(params, state, dt, rate=0.0):
-    """E_t[(C_T - C_t, X_T, Y_T)] discounted at `rate`, T = t + dt, for
-    admissible parameters: an accumulator row (d acc = 1'y) on top of the
-    (x, y) drift ``[[r - rate, -1'], [b, beta - rate I]]``."""
+def _degree_one_moments(params, state, dt, rate=0.0, window=None):
+    """E_t[(C_T - C_t, X_T, Y_T)] discounted at `rate`, T = t + dt, or with a
+    `window` length E_t[C_T1 - C_T0] over [T, T + window], for admissible
+    parameters.  The rows are carried back on the generator's degree-one
+    block: an accumulator row (d acc = 1'y) on top of the (x, y) drift
+    ``[[r - rate, -1'], [b, beta - rate I]]``."""
     d = params.d
     mat = np.zeros((2 + d, 2 + d))
     mat[0, 2:] = 1.0
@@ -91,7 +95,11 @@ def _degree_one_moments(params, state, dt, rate=0.0):
     mat[1, 2:] = -1.0
     mat[2:, 1] = params.b
     mat[2:, 2:] = params.beta - rate * np.eye(d)
-    return expm_apply(mat, dt, np.concatenate(([0.0, state.x], state.y)))
+    rows = np.eye(2 + d)
+    if window is not None:
+        rows = expm_apply(mat.T, window, rows[0])
+        rows[0] = 0.0                       # the accrual restarts at T0
+    return np.concatenate(([0.0, state.x], state.y)) @ expm_apply(mat.T, dt, rows)
 
 
 def stock_futures(params, jump, state, t, T):
@@ -108,11 +116,12 @@ def stock_futures(params, jump, state, t, T):
 def dividend_futures(params, jump, state, t, T0, T1):
     """Futures price on dividends paid over [T0, T1]: E_t[C_T1 - C_T0].
 
-    The expected (x, y) at max(T0, t) is propagated over the window from a
-    zero accrual.  For a window that has already started (T0 < t) the
-    state's ``c`` must measure dividends accrued since the window start;
-    the price is then ``state.c`` plus the dividends still to come,
-    E_t[C_T1 - C_t].  `jump` does not enter, as in :func:`stock_futures`.
+    The accrual row is carried back over the window, restarted at zero, and
+    carried back to t from max(T0, t).  For a window that has already
+    started (T0 < t) the state's ``c`` must measure dividends accrued since
+    the window start; the price is then ``state.c`` plus the dividends
+    still to come, E_t[C_T1 - C_t].  `jump` does not enter, as in
+    :func:`stock_futures`.
     """
     if T1 < T0:
         raise InvalidParameterError(f"need T1 >= T0, got T1={T1} < T0={T0}")
@@ -120,56 +129,46 @@ def dividend_futures(params, jump, state, t, T0, T1):
         raise InvalidParameterError(f"window end T1={T1} lies before t={t}")
     require_admissible(params)
     start = max(T0, t)
-    at_start = _degree_one_moments(params, state, start - t)
-    to_come = _degree_one_moments(params, State(0.0, at_start[1], at_start[2:]), T1 - start)[0]
+    to_come = _degree_one_moments(params, state, start - t, window=T1 - start)
     return float(to_come + (state.c if T0 < t else 0.0))
 
 
-def cumulative_dividend_moments(params, jump, state, t, T0, T1, n):
-    """Raw moments M_1..M_n of the window dividends C_T1 - C_T0, given time t.
+def _power_moments(params, jump, state, dt, n, window=None):
+    """E_t[P^k], k = 1..n, for P = X_T at T = t + dt, or with a `window`
+    length for P = C_T1 - C_T0 over [T0, T1] = [T, T + window].
 
-    Given the state at T0, C_T1 - C_T0 accrues like C restarted from 0 (the
-    Markov property).  So E_T0[(C_T1 - C_T0)^k] is the c^k row of
-    ``expm(G_k (T1 - T0))`` on the degree-k block, restricted to the c-free
-    monomials: a polynomial in the time-T0 state.  The generator keeps the
-    c-free sub-block G_f of each degree block closed, so M_k is that row
-    times ``expm(G_f (T0 - t))`` times the c-free monomials of the current
-    state.  Both exponentials act on the row (as exponentials of the
-    transposed blocks), carrying the polynomial's coefficients back to t.
-    Propagating the state monomials forward to T0 instead gives the small
-    c-free moments of high degree absolute errors of the size of the large
-    ones, which loses M_5 and M_6 of late windows.  The result does not
-    depend on ``state.c``, and T0 = t needs no special case.
+    X_T^k is the x^k row, which leads the c-free sub-block of degree k.  As
+    C_T1 - C_T0 accrues like C restarted from 0 at T0, E_T0[P^k] is the c^k
+    row, which leads the block, carried back over the window and restricted
+    to the c-free monomials.  Either row is carried back over dt on the
+    c-free sub-block, so ``state.c`` does not enter.
     """
-    if n < 1 or int(n) != n:
-        raise InvalidParameterError(f"need moment count n >= 1, got {n}")
-    if T0 < t:
-        raise InvalidParameterError(f"need t <= T0, got T0={T0} < t={t}")
-    if T1 < T0:
-        raise InvalidParameterError(f"need T0 <= T1, got T1={T1} < T0={T0}")
-    n = int(n)
-    basis = build_basis(params.d, n, include_c=True)
+    basis = build_basis(params.d, n)
     mat = build_generator(params, jump, basis).matrix
     h = eval_basis(basis, state)
     out = np.empty(n)
     for k in range(1, n + 1):
         s, f = basis.blocks[k], basis.c_free[k]
-        unit = np.zeros(s.stop - s.start)
-        unit[0] = 1.0                       # c^k leads its block
-        row = expm_apply(mat[s, s].T, T1 - T0, unit)[f.start - s.start:]
-        out[k - 1] = expm_apply(mat[f, f].T, T0 - t, row) @ h[f]
+        if window is None:
+            row = np.eye(f.stop - f.start)[0]
+        else:
+            row = expm_apply(mat[s, s].T, window, np.eye(s.stop - s.start)[0])[f.start - s.start:]
+        out[k - 1] = expm_apply(mat[f, f].T, dt, row) @ h[f]
     return out
 
 
+def cumulative_dividend_moments(params, jump, state, t, T0, T1, n):
+    """Raw moments M_1..M_n of the window dividends C_T1 - C_T0, given time t."""
+    _check_moment_args("n", n, t, T0, T_name="T0")
+    if T1 < T0:
+        raise InvalidParameterError(f"need T0 <= T1, got T1={T1} < T0={T0}")
+    return _power_moments(params, jump, state, T0 - t, int(n), window=T1 - T0)
+
+
 def stock_price_moments(params, jump, state, t, T, n_moments):
-    """Raw moments M_1..M_N of X_T, computed on the (x, y)-only basis."""
-    if n_moments < 1:
-        raise InvalidParameterError(f"need at least one moment, got {n_moments}")
-    basis = build_basis(params.d, int(n_moments), include_c=False)
-    gen = build_generator(params, jump, basis)
-    values = expm_apply(gen, T - t, eval_basis(basis, state))
-    zeros = (0,) * params.d
-    return np.array([values[basis.position(0, k, zeros)] for k in range(1, int(n_moments) + 1)])
+    """Raw moments M_1..M_N of X_T, given time t."""
+    _check_moment_args("n_moments", n_moments, t, T)
+    return _power_moments(params, jump, state, T - t, int(n_moments))
 
 
 class PresentValue(NamedTuple):

@@ -191,6 +191,9 @@ class TestCalibrate:
         for stored, fresh in zip(res.instruments, rows):
             assert stored.model == fresh.model
             assert stored.abs_error == fresh.abs_error
+        p = res.params
+        fitted = [p.b[0], p.beta[0, 0], p.sigma, p.nu[0], res.d0]
+        assert res.objective == pytest.approx(objective(fitted, market, cfg), rel=1e-14)
 
     def test_single_quote_is_underdetermined(self):
         market = synthetic_market(include_ivs=False, n_futures=1)
@@ -269,8 +272,8 @@ class TestCalibrate:
         res = calibrate(synthetic_market(), CalibConfig(two_stage=True, max_evals=8))
         assert res.trace["converged"] is False
         assert res.trace["nfev"] <= 8
-        # every fitting call is counted; calibrate then prices the fit twice
-        assert len(calls) == res.trace["nfev"] + 2
+        # every fitting call is counted; calibrate then prices the fit once
+        assert len(calls) == res.trace["nfev"] + 1
 
     @pytest.mark.parametrize("two_stage,max_evals,minimum", [(False, 5, 6), (True, 7, 8)])
     def test_budget_below_one_jacobian_per_stage_rejected(self, two_stage, max_evals, minimum):

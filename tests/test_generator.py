@@ -33,9 +33,9 @@ class TestBasis:
         for pos, m in enumerate(b.members):
             assert b.position(m.i, m.j, m.alpha) == pos
 
-    @pytest.mark.parametrize("d,n,include_c", [(1, 6, True), (3, 6, True), (2, 3, False)])
-    def test_c_free_tails(self, d, n, include_c):
-        b = build_basis(d, n, include_c)
+    @pytest.mark.parametrize("d,n", [(1, 6), (3, 6)])
+    def test_c_free_tails(self, d, n):
+        b = build_basis(d, n)
         for k, (s, f) in enumerate(zip(b.blocks, b.c_free)):
             assert s.start <= f.start and f.stop == s.stop
             assert [m.i == 0 for m in b.members[s]] == [p >= f.start for p in range(s.start, s.stop)]
@@ -52,6 +52,12 @@ class TestBasis:
         b2 = build_basis(1, 3)
         vec = b2.eval(2.0, 3.0, [4.0])
         assert vec[b2.position(1, 1, (1,))] == pytest.approx(24.0)
+        # the vectorized product against a loop over the monomials
+        b3 = build_basis(3, 6)
+        c, x, y = 0.7, 1.3, [0.05, 0.11, 0.02]
+        loop = [c ** i * x ** j * math.prod(yk ** ak for yk, ak in zip(y, alpha))
+                for i, j, alpha in b3.members]
+        np.testing.assert_allclose(b3.eval(c, x, y), loop, rtol=1e-15, atol=0)
 
 
 class TestGeneratorMatrix:
@@ -165,8 +171,8 @@ class TestPointwiseOracle:
                 assert not gen.matrix[f, s.start:f.start].any()
             h = eval_basis(basis, state)
             whole = expm_apply(gen.matrix, 0.8, h)
-            np.testing.assert_allclose(expm_apply(gen, 0.8, h), whole, rtol=0,
-                                       atol=1e-8 * np.abs(whole).max())
+            by_block = np.concatenate([expm_apply(gen.matrix[s, s], 0.8, h[s]) for s in basis.blocks])
+            np.testing.assert_allclose(by_block, whole, rtol=0, atol=1e-8 * np.abs(whole).max())
 
     def test_linearity(self, params_a02):
         rng = np.random.default_rng(1)
