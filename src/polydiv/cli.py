@@ -47,7 +47,7 @@ from .errors import (
     NumericError,
     PolydivError,
 )
-from .maxent import OptionSpec, price_dividend_option, price_stock_option
+from .maxent import OptionSpec, _option_inputs, _price_from_moments
 from .mc import SimConfig, martingale_diagnostic, mc_price, simulate_paths, yield_path_stats
 from .model import JumpSpec, ModelParams, PointMass, State, TwoPoint, validate_admissibility
 from .moments import conditional_moments, dividend_futures, stock_futures
@@ -320,7 +320,6 @@ def _cmd_price_option(args):
         strike = args.strike if args.strike is not None else state.x
         spec = OptionSpec(kind=args.kind, underlying="stock", strike=strike,
                           expiry=expiry, rate=params.r)
-        price_fn = lambda n: price_stock_option(params, jump, state, spec, n)
         forward = stock_futures(params, jump, state, 0.0, expiry)
         mc_underlying = "stock"
         window = None
@@ -333,11 +332,15 @@ def _cmd_price_option(args):
         expiry = args.expiry if args.expiry is not None else t1
         spec = OptionSpec(kind=args.kind, underlying="dividend", strike=strike,
                           expiry=expiry, rate=params.r, window=(t0, t1))
-        price_fn = lambda n: price_dividend_option(params, jump, state, spec, n)
         mc_underlying = (t0, t1)
         window = (t0, t1)
 
-    sweep = [{"n_moments": n, "price": price_fn(n)} for n in range(2, n_top + 1)]
+    # moments at the top count: their prefixes are the moments of every smaller count
+    raw, strike_on_raw, discount = _option_inputs(params, jump, state, spec, n_top)
+    sweep = []
+    for n in range(2, n_top + 1):
+        price, used = _price_from_moments(spec.kind, raw[:n], strike_on_raw, discount)
+        sweep.append({"n_moments": n, "moments_used": used, "price": price})
     price = sweep[-1]["price"]
     payload = {
         "spec": {"kind": spec.kind, "underlying": spec.underlying, "strike": spec.strike,
@@ -346,8 +349,8 @@ def _cmd_price_option(args):
         "price": price,
         "moment_sweep": sweep,
     }
-    csv_files = [("moment_sweep.csv", ["n_moments", "price"],
-                  [(row["n_moments"], row["price"]) for row in sweep])]
+    columns = ["n_moments", "moments_used", "price"]
+    csv_rows = [[row[c] for c in columns] for row in sweep]
     if args.mc:
         horizon = expiry if args.underlying == "stock" else window[1]
         cfg = SimConfig(
@@ -366,11 +369,10 @@ def _cmd_price_option(args):
             "ci_low": est.ci_low, "ci_high": est.ci_high,
             "n_paths": est.n_paths, "control": est.control,
         }
-        csv_files = [("moment_sweep.csv", ["n_moments", "price", "mc_value", "mc_ci_low", "mc_ci_high"],
-                      [(row["n_moments"], row["price"], est.value, est.ci_low, est.ci_high)
-                       for row in sweep])]
+        columns += ["mc_value", "mc_ci_low", "mc_ci_high"]
+        csv_rows = [row + [est.value, est.ci_low, est.ci_high] for row in csv_rows]
     _emit(_report("price option", echo, payload, seed=args.seed if args.mc else None,
-                  started=args._t0), args.out, csv_files)
+                  started=args._t0), args.out, [("moment_sweep.csv", columns, csv_rows)])
     return EXIT_OK
 
 

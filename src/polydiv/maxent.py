@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy.special import roots_legendre
 
 from .black import black76_price, black_scholes_price, implied_vol  # noqa: F401  (re-export)
@@ -25,7 +26,9 @@ from .moments import cumulative_dividend_moments, stock_price_moments
 
 _TAIL_WIDTHS = 40.0      # upper domain cut: M1 + 40 standard deviations
 _SUPPORT_WIDTHS = 30.0   # lower support cut for concentrated densities
-_DEGENERATE_REL_STD = 1e-8
+_FIT_NODES = 800         # first quadrature size; doubled (up to 4x) if the check fails
+_NEWTON_ITERS, _NEWTON_TOL = 200, 1e-12
+_VERIFY_TOL = 1e-10      # accepted residual, also on the refined rule
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,8 +36,9 @@ class MaxEntDensity:
     """Fitted exponential-polynomial density on [0, x_max].
 
     ``lambdas`` are the multipliers on the original (unscaled) x axis;
-    ``scale`` is the domain cut x_max; ``nodes``/``weights`` the quadrature
-    rule used by the fit (on the original axis).  For densities much
+    ``scale`` is the domain cut x_max; ``panels`` the composite
+    Gauss-Legendre rule the fit was made and verified on, as (a, b, count)
+    on the original axis, and ``nodes`` its nodes.  For densities much
     narrower than their domain, ``support_lo`` marks a lower cut below
     which the fitted mass is zero to double precision.
 
@@ -47,8 +51,8 @@ class MaxEntDensity:
 
     lambdas: np.ndarray
     scale: float
+    panels: tuple
     nodes: np.ndarray
-    weights: np.ndarray
     moments: np.ndarray
     iterations: int
     residual: float
@@ -58,17 +62,13 @@ class MaxEntDensity:
     log_norm: float = 0.0
     support_lo: float = 0.0
 
-    @property
-    def domain(self):
-        return (0.0, self.scale)
-
     def pdf(self, x):
         """Density values, zero outside [support_lo, x_max]."""
         x = np.asarray(x, dtype=float)
         u = x / self.scale
         z = (u - self.z_center) / self.z_scale
-        zp = z[..., None] ** np.arange(1, self.gamma.size + 1)
-        expo = -(self.log_norm + zp @ self.gamma)
+        # Horner's rule: a table of powers of z costs six times as much
+        expo = -(self.log_norm + polyval(z, np.concatenate(([0.0], self.gamma))))
         inside = (x >= self.support_lo) & (u <= 1.0)
         out = np.where(inside, np.exp(np.where(inside, expo, 0.0)), 0.0) / self.scale
         return out if out.ndim else float(out)
@@ -100,8 +100,18 @@ def _gauss_legendre01(n):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+def _panel_nodes(panels):
+    """Nodes and weights of the composite Gauss-Legendre rule on ``panels``."""
+    nodes, weights = [], []
+    for a, b, count in panels:
+        u, w = _gauss_legendre01(count)
+        nodes.append(a + (b - a) * u)
+        weights.append((b - a) * w)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
 def _quad_rule(center, width, n, lo=0.0):
-    """Composite Gauss-Legendre rule on [lo, 1] concentrated around the bulk.
+    """Composite Gauss-Legendre panels (a, b, count) on [lo, 1] around the bulk.
 
     The tail padding needed for slowly decaying densities makes the domain
     much wider than a concentrated density's support; plain quadrature then
@@ -117,18 +127,12 @@ def _quad_rule(center, width, n, lo=0.0):
         edges.append(split_hi)
     edges.append(1.0)
     if len(edges) == 2:
-        u, w = _gauss_legendre01(n)
-        return lo + (1.0 - lo) * u, (1.0 - lo) * w
+        return ((lo, 1.0, n),)
     bulk = next(k for k in range(len(edges) - 1) if edges[k] <= center <= edges[k + 1])
     n_panels = len(edges) - 1
     counts = [max(96, round(0.4 * n / (n_panels - 1)))] * n_panels
     counts[bulk] = max(96, n - sum(counts[:bulk]) - sum(counts[bulk + 1:]))
-    nodes, weights = [], []
-    for (a, b), cnt in zip(zip(edges[:-1], edges[1:]), counts):
-        u, w = _gauss_legendre01(int(cnt))
-        nodes.append(a + (b - a) * u)
-        weights.append((b - a) * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    return tuple(zip(edges[:-1], edges[1:], counts))
 
 
 def _start_points(mu, s0):
@@ -150,7 +154,7 @@ def _start_points(mu, s0):
     return [exp_start, gauss]
 
 
-def _dual_newton(mu, nodes, weights, max_iter, tol, gamma0):
+def _dual_newton(mu, nodes, weights, gamma0):
     """Damped Newton iteration on the convex dual of the moment problem.
 
     The exponent polynomial is parametrized in mean-centered, std-scaled
@@ -195,8 +199,8 @@ def _dual_newton(mu, nodes, weights, max_iter, tol, gamma0):
     best = (gamma.copy(), log_z, residual)
     stalls = 0
     it = 0
-    for it in range(1, max_iter + 1):
-        if residual < tol:
+    for it in range(1, _NEWTON_ITERS + 1):
+        if residual < _NEWTON_TOL:
             break
         # differences first, then the basis change: keeps the gradient noise
         # proportional to the residual instead of to the moment magnitudes
@@ -249,16 +253,13 @@ def _dual_newton(mu, nodes, weights, max_iter, tol, gamma0):
     return lam, (gamma, m0, s0, log_z), it, residual
 
 
-def fit_maxent(moments, n_nodes=800, max_iter=200, tol=1e-12, verify_tol=1e-10):
+def fit_maxent(moments):
     """Fit the maximum-entropy density matching raw moments M_0..M_N.
 
     Parameters
     ----------
     moments : sequence
         Raw moments, M_0 = 1 first.  At least (M_0, M_1).
-    n_nodes : int
-        Initial Gauss-Legendre node count; doubled (up to 8x) if the
-        matched moments do not survive a refined-quadrature check.
 
     Raises
     ------
@@ -288,14 +289,15 @@ def fit_maxent(moments, n_nodes=800, max_iter=200, tol=1e-12, verify_tol=1e-10):
     last_residual = np.inf
     warm = None
     s0 = math.sqrt(mu[1] - mu[0] ** 2) if n >= 2 and mu[1] > mu[0] ** 2 else 1.0
-    for nodes_count in (n_nodes, 2 * n_nodes, 4 * n_nodes):
-        u, w = _quad_rule(center, width, nodes_count, lo=lo)
+    for nodes_count in (_FIT_NODES, 2 * _FIT_NODES, 4 * _FIT_NODES):
+        panels = _quad_rule(center, width, nodes_count, lo=lo)
+        u, w = _panel_nodes(panels)
         converged = None
         starts = ([warm] if warm is not None else []) + _start_points(mu, s0)
         for gamma0 in starts:
-            lam_scaled, zrep, iters, residual = _dual_newton(mu, u, w, max_iter, tol, gamma0)
+            lam_scaled, zrep, iters, residual = _dual_newton(mu, u, w, gamma0)
             last_residual = min(last_residual, residual)
-            if residual <= 1e-10:
+            if residual <= _VERIFY_TOL:
                 converged = (lam_scaled, zrep, iters, residual)
                 break
         if converged is None:
@@ -305,22 +307,22 @@ def fit_maxent(moments, n_nodes=800, max_iter=200, tol=1e-12, verify_tol=1e-10):
         warm = gamma
         # verify the matched moments against a refined quadrature rule,
         # evaluating through the standardized coefficients for stability
-        u2, w2 = _quad_rule(center, width, 2 * nodes_count, lo=lo)
+        u2, w2 = _panel_nodes(_quad_rule(center, width, 2 * nodes_count, lo=lo))
         z2 = (u2 - m0) / s0_fit
         expo = z2[:, None] ** np.arange(1, n + 1) @ gamma + log_z
         phi = w2 * np.exp(-expo)
         mom2 = np.array([(phi * u2 ** k).sum() for k in range(1, n + 1)])
         err2 = np.max(np.abs(mom2 - mu) / np.maximum(np.abs(mu), 1e-300))
         norm_err = abs(phi.sum() - 1.0)
-        if max(err2, norm_err) < verify_tol:
+        if max(err2, norm_err) < _VERIFY_TOL:
             # change of variables x = scale * u: lam_0 picks up ln(scale)
             lam = lam_scaled / scale ** np.arange(n + 1)
             lam[0] += math.log(scale)
             return MaxEntDensity(
                 lambdas=lam,
                 scale=float(scale),
+                panels=tuple((a * scale, b * scale, count) for a, b, count in panels),
                 nodes=u * scale,
-                weights=w * scale,
                 moments=m.copy(),
                 iterations=iters,
                 residual=float(residual),
@@ -332,32 +334,24 @@ def fit_maxent(moments, n_nodes=800, max_iter=200, tol=1e-12, verify_tol=1e-10):
             )
     raise ConvergenceError(
         f"maxent dual did not converge: best residual {last_residual:.3e} "
-        f"(target {1e-10:g}) with up to {4 * n_nodes} nodes"
+        f"(target {_VERIFY_TOL:g}) with up to {4 * _FIT_NODES} nodes"
     )
 
 
 def integrate_payoff(density, payoff, points=()):
-    """Integral of ``payoff(x) * density(x)`` over [0, x_max].
+    """Integral of ``payoff(x) * density(x)`` on the fit's own panels.
 
-    ``points`` lists interior breakpoints (e.g. a strike) at which the payoff
-    has a kink; the integral is then split into smooth segments with a fresh
-    Gauss-Legendre rule per segment.  Without breakpoints the density's own
-    node set is used, which reproduces matched moments for polynomial
-    payoffs of degree <= N.
+    ``points`` lists the payoff's kinks (e.g. a strike).  A panel holding a
+    kink is split there, and each piece keeps the panel's node count, so
+    no piece is resolved more coarsely than the fit was verified on.  The
+    payoff and the pdf are evaluated once, on all nodes together.
     """
-    lo, hi = density.support_lo, density.scale
-    cuts = sorted({p for p in points if lo < p < hi})
-    if not cuts:
-        vals = np.asarray(payoff(density.nodes), dtype=float)
-        return float((density.weights * vals * density.pdf(density.nodes)).sum())
-    edges = [lo, *cuts, hi]
-    u, w = _gauss_legendre01(400)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        x = a + (b - a) * u
-        vals = np.asarray(payoff(x), dtype=float)
-        total += (b - a) * float((w * vals * density.pdf(x)).sum())
-    return total
+    pieces = []
+    for a, b, count in density.panels:
+        edges = [a, *sorted({p for p in points if a < p < b}), b]
+        pieces += [(lo, hi, count) for lo, hi in zip(edges[:-1], edges[1:])]
+    x, w = _panel_nodes(pieces)
+    return float(w @ (np.asarray(payoff(x), dtype=float) * density.pdf(x)))
 
 
 @dataclass(frozen=True)
@@ -400,20 +394,19 @@ def _intrinsic(kind, level, strike):
     return max(level - strike, 0.0) if kind == "call" else max(strike - level, 0.0)
 
 
-def _price_from_moments(raw_moments, kind, strike, discount, n_moments):
-    """Discounted payoff integral against the maxent fit of the moments.
+def _price_from_moments(kind, raw_moments, strike, discount):
+    """Discounted payoff integral against the maxent fit of M_1..M_N.
 
-    Degenerate (zero-variance) underlyings price the point mass directly.
-    If the full moment count is numerically unfittable (densities extremely
-    concentrated relative to their mean), the fit falls back to fewer
-    moments, never below two.
+    Returns the price and the moment count the fit used.  Degenerate
+    underlyings (variance within rounding of zero) price the point mass
+    directly.  If the full moment count is numerically unfittable (densities
+    extremely concentrated relative to their mean), the fit falls back to
+    fewer moments, never below two.
     """
-    m1 = raw_moments[0]
-    var = raw_moments[1] - m1 ** 2 if len(raw_moments) >= 2 else 0.0
-    if m1 <= 0 or var <= (_DEGENERATE_REL_STD * max(m1, 1.0)) ** 2:
-        return discount * _intrinsic(kind, max(m1, 0.0), strike)
-    density = None
-    for count in range(min(n_moments, len(raw_moments)), 1, -1):
+    m1, m2 = raw_moments[:2]
+    if m1 <= 0 or m2 - m1 ** 2 <= 64 * np.finfo(float).eps * m2:
+        return discount * _intrinsic(kind, max(m1, 0.0), strike), len(raw_moments)
+    for count in range(len(raw_moments), 1, -1):
         try:
             density = fit_maxent(np.concatenate(([1.0], raw_moments[:count])))
             break
@@ -421,38 +414,42 @@ def _price_from_moments(raw_moments, kind, strike, discount, n_moments):
             if count == 2:
                 raise
     value = integrate_payoff(density, _payoff_fn(kind, strike), points=(strike,))
-    return discount * value
+    return discount * value, count
+
+
+def _option_inputs(params, jump, state, spec, n_moments):
+    """Moments M_1..M_N of the option's underlying, the strike on it, and the discount.
+
+    For a dividend window that already started (T0 < 0) the state's ``c``
+    must be the accrual since the window start; the payoff is then on
+    ``state.c`` plus the dividends still to come, priced as an option on
+    the latter with the strike lowered by ``state.c``.  A zero-length
+    window pays on no dividends.
+    """
+    if n_moments < 2:
+        raise InvalidParameterError(f"need at least two moments, got {n_moments}")
+    discount = math.exp(-spec.rate * spec.expiry)
+    if spec.underlying == "stock":
+        raw = stock_price_moments(params, jump, state, 0.0, spec.expiry, n_moments)
+        return raw, spec.strike, discount
+    t0, t1 = spec.window
+    if t1 < t0:
+        raise InvalidParameterError(f"window must be ordered, got {spec.window}")
+    if t1 == t0:
+        return np.zeros(n_moments), spec.strike, discount
+    raw = cumulative_dividend_moments(params, jump, state, 0.0, max(t0, 0.0), t1, n_moments)
+    return raw, spec.strike - (state.c if t0 < 0 else 0.0), discount
 
 
 def price_stock_option(params, jump, state, spec, n_moments):
     """Price a stock option by moment matching with ``n_moments`` moments."""
     if spec.underlying != "stock":
         raise InvalidParameterError("spec.underlying must be 'stock'")
-    if n_moments < 2:
-        raise InvalidParameterError(f"need at least two moments, got {n_moments}")
-    raw = stock_price_moments(params, jump, state, 0.0, spec.expiry, n_moments)
-    discount = math.exp(-spec.rate * spec.expiry)
-    return _price_from_moments(raw, spec.kind, spec.strike, discount, n_moments)
+    return _price_from_moments(spec.kind, *_option_inputs(params, jump, state, spec, n_moments))[0]
 
 
 def price_dividend_option(params, jump, state, spec, n_moments):
-    """Price an option on dividends paid over spec.window, expiring at T1.
-
-    For a window that already started (T0 < 0) the state's ``c`` must be the
-    accrual since the window start; the payoff is then on ``state.c`` plus
-    the dividends still to come, priced as an option on the latter with the
-    strike lowered by ``state.c``.
-    """
+    """Price an option on dividends paid over spec.window, expiring at T1."""
     if spec.underlying != "dividend":
         raise InvalidParameterError("spec.underlying must be 'dividend'")
-    if n_moments < 2:
-        raise InvalidParameterError(f"need at least two moments, got {n_moments}")
-    t0, t1 = spec.window
-    if t1 < t0:
-        raise InvalidParameterError(f"window must be ordered, got {spec.window}")
-    discount = math.exp(-spec.rate * spec.expiry)
-    if t1 == t0:
-        return discount * _intrinsic(spec.kind, 0.0, spec.strike)
-    raw = cumulative_dividend_moments(params, jump, state, 0.0, max(t0, 0.0), t1, n_moments)
-    strike = spec.strike - (state.c if t0 < 0 else 0.0)
-    return _price_from_moments(raw, spec.kind, strike, discount, n_moments)
+    return _price_from_moments(spec.kind, *_option_inputs(params, jump, state, spec, n_moments))[0]

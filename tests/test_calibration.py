@@ -20,7 +20,7 @@ from polydiv.errors import InvalidParameterError, MarketDataError
 from polydiv.model import ModelParams, State
 from polydiv.moments import dividend_futures
 
-from conftest import REFERENCE_D0, reference_params, reference_state
+from conftest import REFERENCE_D0, REFERENCE_PARAMS, reference_params, reference_state
 
 SPOT = 3216.17
 SNAPSHOT_CSV = os.path.join(os.path.dirname(__file__), "..", "src", "polydiv", "data",
@@ -120,6 +120,15 @@ class TestPricingErrors:
         iv_errors = {r.kind: r.abs_error for r in rows if r.kind != "futures"}
         assert iv_errors["stock_iv"] <= 0.005
         assert iv_errors["dividend_iv"] <= 0.005
+
+    def test_deterministic_model_prices_the_point_mass(self):
+        # sigma = nu1 = 0: stock and dividends are deterministic, but their
+        # variances come out of the moment algebra as rounding, about 1e-16
+        market = parse_market_csv(SNAPSHOT_CSV)
+        p = ModelParams.single_factor(**{**REFERENCE_PARAMS[0.2], "sigma": 0.0, "nu": 0.0})
+        rows = pricing_errors(p, REFERENCE_D0, market, 6)
+        assert len(rows) == 12
+        assert all(math.isfinite(r.model) and math.isfinite(r.abs_error) for r in rows)
 
 
 class TestObjective:

@@ -2,10 +2,14 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from polydiv.cli import parse_market_csv, parse_model_config, run
 from polydiv.errors import ConfigError, InadmissibleParamsError, MarketDataError
+from polydiv.maxent import OptionSpec, price_stock_option
+
+from conftest import random_admissible_params, random_state_in_E
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "polydiv", "data")
 BUNDLED_CSV = os.path.abspath(os.path.join(DATA_DIR, "sx5e_20151221.csv"))
@@ -208,7 +212,30 @@ class TestCommands:
         assert code == 0
         sweep = report["payload"]["moment_sweep"]
         assert [s["n_moments"] for s in sweep] == [2, 3, 4, 5, 6]
+        assert [s["moments_used"] for s in sweep] == [2, 3, 4, 5, 6]
         assert report["payload"]["price"] == sweep[-1]["price"]
+
+    def test_price_option_sweep_reports_fallback(self, tmp_path, capsys):
+        # three-factor jump model of random_admissible_params seed (1, 1): at
+        # T = 3 the N = 5 and N = 6 stock fits fall back to four moments
+        rng = np.random.default_rng([1, 1])
+        p = random_admissible_params(rng, 3)
+        st = random_state_in_E(rng, p)
+        path = write_config(tmp_path, r=p.r, a=p.a, sigma=p.sigma, d=3, b=p.b.tolist(),
+                            beta=p.beta.tolist(), nu=p.nu.tolist(), x0=st.x, y0=st.y.tolist(),
+                            **{"lambda": 0.2, "jump_dist": {"type": "two_point", "z1": -0.4,
+                                                            "p": 0.35, "z2": 0.5}})
+        code, report = run_json(
+            capsys, ["price", "option", "--config", path, "--underlying", "stock",
+                     "--expiry", "3", "--moments", "6"])
+        assert code == 0
+        sweep = report["payload"]["moment_sweep"]
+        assert [s["moments_used"] for s in sweep] == [2, 3, 4, 4, 4]
+        # one moment vector for the sweep prices exactly as one per count
+        params, jump, state, _ = parse_model_config(path)
+        spec = OptionSpec("call", "stock", state.x, 3.0, params.r)
+        assert [s["price"] for s in sweep] == \
+            [price_stock_option(params, jump, state, spec, n) for n in range(2, 7)]
 
     def test_moments_dump(self, config_path, capsys):
         code, report = run_json(

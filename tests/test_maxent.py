@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from polydiv.errors import InfeasibleMomentsError, InvalidParameterError
 from polydiv.maxent import (
@@ -11,11 +12,18 @@ from polydiv.maxent import (
     price_dividend_option,
     price_stock_option,
 )
-from polydiv.model import ModelParams, State
+from polydiv.model import JumpSpec, ModelParams, State, TwoPoint
 from polydiv.moments import dividend_futures, stock_futures
 from polydiv.black import implied_vol
 
-from conftest import reference_params, reference_state
+from conftest import (
+    random_admissible_params,
+    random_state_in_E,
+    reference_params,
+    reference_state,
+)
+
+TWO_POINT_JUMP = JumpSpec(lam=0.2, dist=TwoPoint(z1=-0.4, p=0.35, z2=0.5))
 
 
 class TestFit:
@@ -84,6 +92,20 @@ class TestIntegratePayoff:
         call = integrate_payoff(d, lambda x: np.maximum(x - 1.0, 0.0), points=(1.0,))
         assert call == pytest.approx(math.exp(-1.0), rel=1e-9)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(mean=strategies.floats(0.01, 10.0), cv=strategies.floats(0.02, 0.5),
+           n=strategies.integers(2, 6),
+           kinks=strategies.lists(strategies.floats(-4.0, 4.0), max_size=3))
+    def test_matched_moments_survive_split_panels(self, mean, cv, n, kinks):
+        # lognormal moments; kinks at mean * exp(z * sigma) split the panels they fall in
+        sig2 = math.log1p(cv ** 2)
+        m = [mean ** k * math.exp(0.5 * k * (k - 1) * sig2) for k in range(n + 1)]
+        d = fit_maxent(m)
+        points = [mean * math.exp(z * math.sqrt(sig2)) for z in kinks]
+        for k in range(n + 1):
+            got = integrate_payoff(d, lambda x, k=k: x ** k, points=points)
+            assert got == pytest.approx(m[k], rel=1e-10)
+
 
 class TestOptionSpec:
     def test_validation(self):
@@ -124,6 +146,19 @@ class TestStockOption:
         put = price_stock_option(p, None, st, OptionSpec("put", "stock", 1.0, 0.25, p.r), 6)
         fwd = stock_futures(p, None, st, 0.0, 0.25)
         assert call - put == pytest.approx(math.exp(-p.r * 0.25) * (fwd - 1.0), abs=1e-8)
+
+    def test_put_call_parity_on_a_wide_fit(self):
+        # three-factor jump model whose N = 6 fit at T = 3 needs 1,600 nodes;
+        # a 400-node rule on each side of the strike leaves a 5.6e-7 F gap here
+        rng = np.random.default_rng([7, 0])
+        p = random_admissible_params(rng, 3)
+        st = random_state_in_E(rng, p)
+        fwd = stock_futures(p, TWO_POINT_JUMP, st, 0.0, 3.0)
+        call, put = (price_stock_option(p, TWO_POINT_JUMP, st,
+                                        OptionSpec(kind, "stock", fwd, 3.0, p.r), 6)
+                     for kind in ("call", "put"))
+        # ATM: call - put = discount * (F - K) = 0
+        assert abs(call - put) <= 1e-10 * fwd
 
     def test_strike_monotone_and_convex(self):
         p = reference_params(0.2)
