@@ -23,7 +23,9 @@ from scipy.optimize import least_squares
 
 from .black import implied_vol
 from .errors import CalibrationError, InvalidParameterError, MarketDataError, PolydivError
-from .maxent import OptionSpec, price_dividend_option, price_stock_option
+from .maxent import OptionSpec, _option_inputs, _price_from_moments
+# kept for perfbench's tracer, which wraps these two names in this module
+from .maxent import price_dividend_option, price_stock_option  # noqa: F401
 from .model import ModelParams, State, validate_admissibility
 from .moments import dividend_futures, stock_futures
 
@@ -160,6 +162,7 @@ class PricedInstrument:
     market: float
     model: float
     abs_error: float
+    moments_used: int | None = None   # maxent moment count of an option leg; None for futures
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,9 +202,14 @@ def pricing_errors(params, d0, market, n_moments):
     state = State(c=0.0, x=1.0, y=[d0])
     rows = []
 
-    def add(id, kind, quote, model):
+    def add(id, kind, quote, model, moments_used=None):
         rows.append(PricedInstrument(id=id, kind=kind, market=quote, model=model,
-                                     abs_error=abs(model - quote)))
+                                     abs_error=abs(model - quote), moments_used=moments_used))
+
+    def price(spec):
+        value, density = _price_from_moments(
+            spec.kind, *_option_inputs(params, None, state, spec, n_moments))
+        return value, n_moments if density is None else density.moments.size - 1
 
     for f in market.futures:
         add(f.id, "futures", f.quote,
@@ -211,13 +219,13 @@ def pricing_errors(params, d0, market, n_moments):
         spec = OptionSpec(
             kind="call", underlying="stock", strike=1.0, expiry=q.expiry, rate=params.r
         )
-        price = price_stock_option(params, None, state, spec, n_moments)
+        value, used = price(spec)
         fwd = stock_futures(params, None, state, 0.0, q.expiry)
         carry = params.r - math.log(fwd) / q.expiry
         model_iv = implied_vol(
-            price, 1.0, 1.0, q.expiry, params.r, "black-scholes", dividend_yield=carry
+            value, 1.0, 1.0, q.expiry, params.r, "black-scholes", dividend_yield=carry
         )
-        add("IVSTOCK", "stock_iv", q.iv, model_iv)
+        add("IVSTOCK", "stock_iv", q.iv, model_iv, used)
     if market.dividend_iv is not None:
         q = market.dividend_iv
         f = market.futures_by_id(q.futures_id)
@@ -226,8 +234,9 @@ def pricing_errors(params, d0, market, n_moments):
             kind="call", underlying="dividend", strike=fwd, expiry=f.t1,
             rate=params.r, window=(f.t0, f.t1),
         )
-        price = price_dividend_option(params, None, state, spec, n_moments)
-        add("IVDIV", "dividend_iv", q.iv, implied_vol(price, fwd, fwd, f.t1, params.r, "black76"))
+        value, used = price(spec)
+        add("IVDIV", "dividend_iv", q.iv,
+            implied_vol(value, fwd, fwd, f.t1, params.r, "black76"), used)
     return tuple(rows)
 
 

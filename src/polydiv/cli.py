@@ -254,6 +254,12 @@ def _report(command, config_echo, payload, seed=None, started=None):
             "meta": meta}
 
 
+def _csv_cell(v):
+    if v is None:
+        return ""
+    return _fmt(v) if isinstance(v, (int, float, np.floating)) else str(v)
+
+
 def _emit(report, out_dir, csv_files=()):
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
@@ -265,7 +271,7 @@ def _emit(report, out_dir, csv_files=()):
             with open(os.path.join(out_dir, name), "w") as fh:
                 fh.write(",".join(header) + "\n")
                 for row in rows:
-                    fh.write(",".join(_fmt(v) if isinstance(v, (int, float, np.floating)) else str(v) for v in row) + "\n")
+                    fh.write(",".join(_csv_cell(v) for v in row) + "\n")
 
 
 def _cmd_validate(args):
@@ -312,6 +318,16 @@ def _cmd_price_futures(args):
     return EXIT_OK
 
 
+def _fit_fields(density, n_moments):
+    """How a price was made: the maxent fit's moment count, Newton iterations,
+    residual and quadrature nodes (all ``None`` but the count for a point mass)."""
+    if density is None:
+        return {"moments_used": n_moments, "newton_iterations": None, "residual": None,
+                "nodes": None}
+    return {"moments_used": density.moments.size - 1, "newton_iterations": density.iterations,
+            "residual": density.residual, "nodes": density.nodes.size}
+
+
 def _cmd_price_option(args):
     params, jump, state, echo = parse_model_config(args.config)
     n_top = args.moments
@@ -339,8 +355,8 @@ def _cmd_price_option(args):
     raw, strike_on_raw, discount = _option_inputs(params, jump, state, spec, n_top)
     sweep = []
     for n in range(2, n_top + 1):
-        price, used = _price_from_moments(spec.kind, raw[:n], strike_on_raw, discount)
-        sweep.append({"n_moments": n, "moments_used": used, "price": price})
+        price, density = _price_from_moments(spec.kind, raw[:n], strike_on_raw, discount)
+        sweep.append({"n_moments": n, **_fit_fields(density, n), "price": price})
     price = sweep[-1]["price"]
     payload = {
         "spec": {"kind": spec.kind, "underlying": spec.underlying, "strike": spec.strike,
@@ -349,7 +365,7 @@ def _cmd_price_option(args):
         "price": price,
         "moment_sweep": sweep,
     }
-    columns = ["n_moments", "moments_used", "price"]
+    columns = ["n_moments", "moments_used", "newton_iterations", "residual", "nodes", "price"]
     csv_rows = [[row[c] for c in columns] for row in sweep]
     if args.mc:
         horizon = expiry if args.underlying == "stock" else window[1]
@@ -451,7 +467,7 @@ def _cmd_calibrate(args):
     result = calibrate(market, cfg)
     rows = [
         {"id": r.id, "kind": r.kind, "market": r.market, "model": r.model,
-         "abs_error": r.abs_error}
+         "abs_error": r.abs_error, "moments_used": r.moments_used}
         for r in result.instruments
     ]
     payload = {

@@ -10,9 +10,19 @@ on a truncated, rescaled domain (raw powers of index-scale numbers are
 numerically hopeless) with Gauss-Legendre quadrature and a damped Newton
 iteration on the dual; the matched moments are verified on a refined
 node set before a fit is accepted.
+
+Neither the moments of an option's underlying nor their fits depend on
+the strike, so repeated prices on one underlying (a strike grid, a
+moment-count sweep) reuse them: a small memo keyed by value (the model,
+jump and state numbers, the horizon or window, and the exact bytes of a
+moment vector) holds about one underlying's moment counts.  A fit that
+failed to converge is remembered as a failure.  Prices are bit-identical
+to cold calls.
 """
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,6 +39,9 @@ _SUPPORT_WIDTHS = 30.0   # lower support cut for concentrated densities
 _FIT_NODES = 800         # first quadrature size; doubled (up to 4x) if the check fails
 _NEWTON_ITERS, _NEWTON_TOL = 200, 1e-12
 _VERIFY_TOL = 1e-10      # accepted residual, also on the refined rule
+_MEMO_SIZE = 8           # entries per memo: the moment counts of one underlying
+_MEMO_LOCK = threading.Lock()
+_MOMENT_MEMO, _FIT_MEMO = OrderedDict(), OrderedDict()
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,27 +407,56 @@ def _intrinsic(kind, level, strike):
     return max(level - strike, 0.0) if kind == "call" else max(strike - level, 0.0)
 
 
+def _memo(memo, key, compute):
+    """``compute()`` through a bounded LRU memo, a ``ConvergenceError`` included."""
+    with _MEMO_LOCK:
+        value = memo.get(key)
+        if value is not None:
+            memo.move_to_end(key)
+    if value is None:
+        try:
+            value = compute()
+        except ConvergenceError as exc:
+            value = exc
+        with _MEMO_LOCK:
+            memo[key] = value
+            while len(memo) > _MEMO_SIZE:
+                memo.popitem(last=False)
+    if isinstance(value, ConvergenceError):
+        raise ConvergenceError(*value.args)
+    return value
+
+
 def _price_from_moments(kind, raw_moments, strike, discount):
     """Discounted payoff integral against the maxent fit of M_1..M_N.
 
-    Returns the price and the moment count the fit used.  Degenerate
-    underlyings (variance within rounding of zero) price the point mass
-    directly.  If the full moment count is numerically unfittable (densities
-    extremely concentrated relative to their mean), the fit falls back to
-    fewer moments, never below two.
+    Returns the price and the fitted density, whose ``moments`` show the
+    count used; degenerate underlyings (variance within rounding of zero)
+    price the point mass directly and return ``None`` for it.  If the full
+    moment count is numerically unfittable (densities extremely
+    concentrated relative to their mean), the fit falls back to fewer
+    moments, never below two.
     """
     m1, m2 = raw_moments[:2]
     if m1 <= 0 or m2 - m1 ** 2 <= 64 * np.finfo(float).eps * m2:
-        return discount * _intrinsic(kind, max(m1, 0.0), strike), len(raw_moments)
+        return discount * _intrinsic(kind, max(m1, 0.0), strike), None
     for count in range(len(raw_moments), 1, -1):
+        m = np.concatenate(([1.0], raw_moments[:count]))
         try:
-            density = fit_maxent(np.concatenate(([1.0], raw_moments[:count])))
+            density = _memo(_FIT_MEMO, m.tobytes(), lambda: fit_maxent(m))
             break
         except ConvergenceError:
             if count == 2:
                 raise
     value = integrate_payoff(density, _payoff_fn(kind, strike), points=(strike,))
-    return discount * value, count
+    return discount * value, density
+
+
+def _underlying_key(params, jump, state):
+    """The model, jump and state by value: arrays can change in place."""
+    return (params.r, params.a, params.sigma, params.d, params.b.tobytes(),
+            params.beta.tobytes(), params.nu.tobytes(), jump,
+            state.c, state.x, state.y.tobytes())
 
 
 def _option_inputs(params, jump, state, spec, n_moments):
@@ -424,21 +466,30 @@ def _option_inputs(params, jump, state, spec, n_moments):
     must be the accrual since the window start; the payoff is then on
     ``state.c`` plus the dividends still to come, priced as an option on
     the latter with the strike lowered by ``state.c``.  A zero-length
-    window pays on no dividends.
+    window pays on no dividends.  The moments are memoized read-only.
     """
     if n_moments < 2:
         raise InvalidParameterError(f"need at least two moments, got {n_moments}")
     discount = math.exp(-spec.rate * spec.expiry)
+    strike = spec.strike
     if spec.underlying == "stock":
-        raw = stock_price_moments(params, jump, state, 0.0, spec.expiry, n_moments)
-        return raw, spec.strike, discount
-    t0, t1 = spec.window
-    if t1 < t0:
-        raise InvalidParameterError(f"window must be ordered, got {spec.window}")
-    if t1 == t0:
-        return np.zeros(n_moments), spec.strike, discount
-    raw = cumulative_dividend_moments(params, jump, state, 0.0, max(t0, 0.0), t1, n_moments)
-    return raw, spec.strike - (state.c if t0 < 0 else 0.0), discount
+        span, moment_fn = (spec.expiry,), stock_price_moments
+    else:
+        t0, t1 = spec.window
+        if t1 < t0:
+            raise InvalidParameterError(f"window must be ordered, got {spec.window}")
+        if t1 == t0:
+            return np.zeros(n_moments), strike, discount
+        span, moment_fn = (max(t0, 0.0), t1), cumulative_dividend_moments
+        strike -= state.c if t0 < 0 else 0.0
+
+    def moments():
+        raw = moment_fn(params, jump, state, 0.0, *span, n_moments)
+        raw.flags.writeable = False
+        return raw
+
+    key = (_underlying_key(params, jump, state), span, n_moments)
+    return _memo(_MOMENT_MEMO, key, moments), strike, discount
 
 
 def price_stock_option(params, jump, state, spec, n_moments):

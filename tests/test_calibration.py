@@ -76,6 +76,10 @@ class TestPricingErrors:
         rows = pricing_errors(reference_params(0.2), REFERENCE_D0, market, 6)
         assert len(rows) == 12
         assert max(r.abs_error for r in rows) < 1e-8
+        # option legs say how many moments their fit used; futures need none
+        assert [(r.kind, r.moments_used) for r in rows if r.kind != "futures"] == \
+            [("stock_iv", 6), ("dividend_iv", 6)]
+        assert all(r.moments_used is None for r in rows if r.kind == "futures")
 
     def test_b0_closed_form_market(self):
         p = ModelParams.single_factor(r=0.01, a=0.1, sigma=0.25, b=0.0, beta=-0.3, nu=0.01)
@@ -129,6 +133,7 @@ class TestPricingErrors:
         rows = pricing_errors(p, REFERENCE_D0, market, 6)
         assert len(rows) == 12
         assert all(math.isfinite(r.model) and math.isfinite(r.abs_error) for r in rows)
+        assert [r.moments_used for r in rows if r.kind != "futures"] == [6, 6]
 
 
 class TestObjective:

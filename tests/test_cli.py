@@ -205,15 +205,25 @@ class TestCommands:
         assert len(rows) == 10
         assert all(row["abs_error"] <= 2.5 for row in rows)
 
-    def test_price_option_sweep(self, config_path, capsys):
+    def test_price_option_sweep(self, config_path, tmp_path, capsys):
+        out = str(tmp_path / "out")
         code, report = run_json(
-            capsys, ["price", "option", "--config", config_path,
-                     "--underlying", "stock", "--expiry", "0.25", "--moments", "6"])
+            capsys, ["price", "option", "--config", config_path, "--underlying", "stock",
+                     "--expiry", "0.25", "--moments", "6", "--out", out])
         assert code == 0
         sweep = report["payload"]["moment_sweep"]
         assert [s["n_moments"] for s in sweep] == [2, 3, 4, 5, 6]
         assert [s["moments_used"] for s in sweep] == [2, 3, 4, 5, 6]
         assert report["payload"]["price"] == sweep[-1]["price"]
+        # each row shows how its fit was made
+        for row in sweep:
+            assert 0 < row["newton_iterations"] <= 200
+            assert 0 <= row["residual"] <= 1e-10
+            assert row["nodes"] >= 800
+        with open(os.path.join(out, "moment_sweep.csv")) as fh:
+            header = fh.readline().strip().split(",")
+        assert header == ["n_moments", "moments_used", "newton_iterations", "residual",
+                          "nodes", "price"]
 
     def test_price_option_sweep_reports_fallback(self, tmp_path, capsys):
         # three-factor jump model of random_admissible_params seed (1, 1): at

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
-from polydiv.errors import InfeasibleMomentsError, InvalidParameterError
+import polydiv.moments
+from polydiv import maxent
+from polydiv.errors import ConvergenceError, InfeasibleMomentsError, InvalidParameterError
 from polydiv.maxent import (
     OptionSpec,
     fit_maxent,
@@ -13,7 +15,12 @@ from polydiv.maxent import (
     price_stock_option,
 )
 from polydiv.model import JumpSpec, ModelParams, State, TwoPoint
-from polydiv.moments import dividend_futures, stock_futures
+from polydiv.moments import (
+    cumulative_dividend_moments,
+    dividend_futures,
+    stock_futures,
+    stock_price_moments,
+)
 from polydiv.black import implied_vol
 
 from conftest import (
@@ -218,3 +225,138 @@ class TestDividendOption:
         p2 = price_dividend_option(p, None, st, spec, 2)
         p6 = price_dividend_option(p, None, st, spec, 6)
         assert p2 == pytest.approx(p6, rel=5e-3)
+
+
+def _clear_memo():
+    maxent._MOMENT_MEMO.clear()
+    maxent._FIT_MEMO.clear()
+
+
+def _strike_grid(p, jump, st, underlying, T):
+    """Five strikes around the forward of one underlying, one coefficient of variation apart."""
+    window = (T - 1.0, T) if underlying == "dividend" else None
+    spec = OptionSpec("call", underlying, 1.0, T, p.r, window)
+    m1, m2 = maxent._option_inputs(p, jump, st, spec, 2)[0]
+    cv = math.sqrt(m2 - m1 * m1) / m1
+    return [OptionSpec("call", underlying, m1 * math.exp(k * cv), T, p.r, window)
+            for k in (-1.0, -0.5, 0.0, 0.5, 1.0)]
+
+
+def _price(p, jump, st, spec, n):
+    price = price_stock_option if spec.underlying == "stock" else price_dividend_option
+    return price(p, jump, st, spec, n)
+
+
+class TestRepeatedPrices:
+    """Prices on one underlying reuse its moments and fits, by value."""
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        # entries made under a patched fit must not reach other tests
+        _clear_memo()
+        yield
+        _clear_memo()
+
+    @pytest.mark.parametrize("underlying", ["stock", "dividend"])
+    def test_strike_grid_bit_identical_warm_and_cold(self, underlying):
+        p, st = reference_params(0.2), reference_state()
+        specs = _strike_grid(p, TWO_POINT_JUMP, st, underlying, 1.0)
+        _clear_memo()
+        warm = [_price(p, TWO_POINT_JUMP, st, spec, n) for spec in specs for n in range(2, 7)]
+        cold = []
+        for spec in specs:
+            for n in range(2, 7):
+                _clear_memo()
+                cold.append(_price(p, TWO_POINT_JUMP, st, spec, n))
+        assert warm == cold
+
+    def test_in_place_parameter_change_is_not_stale(self):
+        p, st = reference_params(0.2), reference_state()
+        spec = OptionSpec("call", "stock", 1.0, 1.0, p.r)
+        before = maxent._option_inputs(p, TWO_POINT_JUMP, st, spec, 6)[0]
+        p.beta[0, 0] -= 0.05
+        after = maxent._option_inputs(p, TWO_POINT_JUMP, st, spec, 6)[0]
+        assert not np.array_equal(after, before)
+        np.testing.assert_array_equal(
+            after, stock_price_moments(p, TWO_POINT_JUMP, st, 0.0, 1.0, 6))
+
+    @pytest.mark.parametrize("underlying", ["stock", "dividend"])
+    def test_new_state_is_not_stale(self, underlying):
+        p, st = reference_params(0.2), reference_state()
+        spec = OptionSpec("call", underlying, 1.0, 2.0, p.r, (1.0, 2.0))
+        before = maxent._option_inputs(p, None, st, spec, 6)[0]
+        moved = State(c=st.c, x=st.x, y=st.y * 1.5)
+        after = maxent._option_inputs(p, None, moved, spec, 6)[0]
+        if underlying == "stock":
+            cold = stock_price_moments(p, None, moved, 0.0, 2.0, 6)
+        else:
+            cold = cumulative_dividend_moments(p, None, moved, 0.0, 1.0, 2.0, 6)
+        assert not np.array_equal(after, before)
+        np.testing.assert_array_equal(after, cold)
+
+    def test_memo_stays_within_its_bound(self):
+        p = reference_params(0.2)
+        spec = OptionSpec("call", "stock", 1.0, 0.5, p.r)
+        for k in range(3 * maxent._MEMO_SIZE):
+            st = State(c=0.0, x=1.0 + 0.01 * k, y=[0.0371])
+            price_stock_option(p, None, st, spec, 3)
+            assert len(maxent._MOMENT_MEMO) <= maxent._MEMO_SIZE
+            assert len(maxent._FIT_MEMO) <= maxent._MEMO_SIZE
+
+    def test_cached_moments_are_read_only(self):
+        p, st = reference_params(0.2), reference_state()
+        spec = OptionSpec("call", "stock", 1.0, 0.5, p.r)
+        raw = maxent._option_inputs(p, None, st, spec, 4)[0]
+        with pytest.raises(ValueError):
+            raw[0] = 0.0
+        with pytest.raises(ValueError):
+            raw[:2][1] = 0.0
+        np.testing.assert_array_equal(raw, stock_price_moments(p, None, st, 0.0, 0.5, 4))
+
+    @pytest.mark.parametrize("underlying", ["dividend", "stock"])
+    def test_one_build_per_count_and_one_fit_per_moment_vector(self, underlying, monkeypatch):
+        # three-factor jump model of random_admissible_params seed (1, 1): at
+        # T = 3 the N = 5 and N = 6 stock fits raise ConvergenceError
+        rng = np.random.default_rng([1, 1])
+        p = random_admissible_params(rng, 3)
+        st = random_state_in_E(rng, p)
+        specs = _strike_grid(p, TWO_POINT_JUMP, st, underlying, 3.0)
+        builds, fits, failed = [], [], []
+        build, fit = polydiv.moments.build_generator, maxent.fit_maxent
+
+        def counted_build(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        def counted_fit(m):
+            fits.append(np.asarray(m).tobytes())
+            try:
+                return fit(m)
+            except ConvergenceError:
+                failed.append(fits[-1])
+                raise
+
+        _clear_memo()
+        monkeypatch.setattr(polydiv.moments, "build_generator", counted_build)
+        monkeypatch.setattr(maxent, "fit_maxent", counted_fit)
+        for spec in specs:
+            for n in range(2, 7):
+                _price(p, TWO_POINT_JUMP, st, spec, n)
+        assert len(builds) == 5
+        assert len(fits) == len(set(fits)) == 5
+        assert len(failed) == (2 if underlying == "stock" else 0)
+
+    def test_non_convergence_is_remembered_and_raised_again(self, monkeypatch):
+        calls = []
+
+        def never_converges(m):
+            calls.append(np.asarray(m).tobytes())
+            raise ConvergenceError("no fit")
+
+        p, st = reference_params(0.2), reference_state()
+        spec = OptionSpec("call", "stock", 1.0, 0.5, p.r)
+        monkeypatch.setattr(maxent, "fit_maxent", never_converges)
+        for _ in range(3):
+            with pytest.raises(ConvergenceError):
+                price_stock_option(p, None, st, spec, 3)
+        assert len(calls) == len(set(calls)) == 2
