@@ -23,7 +23,7 @@ from scipy.optimize import least_squares
 
 from .black import implied_vol
 from .errors import CalibrationError, InvalidParameterError, MarketDataError, PolydivError
-from .maxent import OptionSpec, _option_inputs, _price_from_moments
+from .maxent import OptionSpec, _option_inputs, _price_from_moments, fit_fields
 # kept for perfbench's tracer, which wraps these two names in this module
 from .maxent import price_dividend_option, price_stock_option  # noqa: F401
 from .model import ModelParams, State, validate_admissibility
@@ -162,7 +162,11 @@ class PricedInstrument:
     market: float
     model: float
     abs_error: float
-    moments_used: int | None = None   # maxent moment count of an option leg; None for futures
+    # how an option leg's maxent fit was made (see maxent.fit_fields); None for futures
+    moments_used: int | None = None
+    newton_iterations: int | None = None
+    residual: float | None = None
+    nodes: int | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,25 +195,31 @@ def params_from_vector(vec, config):
     return params, d0
 
 
-def pricing_errors(params, d0, market, n_moments):
+def pricing_errors(params, d0, market, n_moments, start=None):
     """Model prices and absolute errors for every instrument in the market.
 
     Futures legs are priced at the normalized spot X0 = 1 and scaled back to
     index points; option legs are converted to the matching implied-vol
     convention (spot lognormal with the model-consistent forward for the
-    stock, futures lognormal for the dividend option).
+    stock, futures lognormal for the dividend option).  ``start``, a dict
+    {"stock" or "dividend": density}, seeds each option's maxent fit with
+    the last density fitted on that underlying and is updated after every
+    option priced; without it the fits are cold.
     """
     state = State(c=0.0, x=1.0, y=[d0])
     rows = []
 
-    def add(id, kind, quote, model, moments_used=None):
+    def add(id, kind, quote, model, fit=None):
         rows.append(PricedInstrument(id=id, kind=kind, market=quote, model=model,
-                                     abs_error=abs(model - quote), moments_used=moments_used))
+                                     abs_error=abs(model - quote), **(fit or {})))
 
     def price(spec):
         value, density = _price_from_moments(
-            spec.kind, *_option_inputs(params, None, state, spec, n_moments))
-        return value, n_moments if density is None else density.moments.size - 1
+            spec.kind, *_option_inputs(params, None, state, spec, n_moments),
+            start=None if start is None else start.get(spec.underlying))
+        if start is not None and density is not None:
+            start[spec.underlying] = density
+        return value, fit_fields(density, n_moments)
 
     for f in market.futures:
         add(f.id, "futures", f.quote,
@@ -219,13 +229,13 @@ def pricing_errors(params, d0, market, n_moments):
         spec = OptionSpec(
             kind="call", underlying="stock", strike=1.0, expiry=q.expiry, rate=params.r
         )
-        value, used = price(spec)
+        value, fit = price(spec)
         fwd = stock_futures(params, None, state, 0.0, q.expiry)
         carry = params.r - math.log(fwd) / q.expiry
         model_iv = implied_vol(
             value, 1.0, 1.0, q.expiry, params.r, "black-scholes", dividend_yield=carry
         )
-        add("IVSTOCK", "stock_iv", q.iv, model_iv, used)
+        add("IVSTOCK", "stock_iv", q.iv, model_iv, fit)
     if market.dividend_iv is not None:
         q = market.dividend_iv
         f = market.futures_by_id(q.futures_id)
@@ -234,9 +244,9 @@ def pricing_errors(params, d0, market, n_moments):
             kind="call", underlying="dividend", strike=fwd, expiry=f.t1,
             rate=params.r, window=(f.t0, f.t1),
         )
-        value, used = price(spec)
+        value, fit = price(spec)
         add("IVDIV", "dividend_iv", q.iv,
-            implied_vol(value, fwd, fwd, f.t1, params.r, "black76"), used)
+            implied_vol(value, fwd, fwd, f.t1, params.r, "black76"), fit)
     return tuple(rows)
 
 
@@ -290,21 +300,29 @@ def _fit_stage(z, names, market, kinds, config, budget):
     for n coordinates, only at the start and after an accepted step, each
     time right after one function evaluation; allowing budget // (n + 1)
     function evaluations therefore keeps every call within `budget`.
+
+    Every trial point lies next to one already priced, so each maxent fit
+    starts from the stage's last density on its underlying; the first
+    evaluation fits cold.
     """
     started = time.perf_counter()
     idx = [FREE_NAMES.index(n) for n in names]
     lower, upper = np.array([[0.0, Q_FLOOR, 0.0, 0.0, 0.0], [np.inf] * 4 + [config.a]])[:, idx]
     fitted = []
+    start = {}
+    iterations = []
 
     def residuals(v):
         z[idx] = v
         params, d0 = params_from_vector(_vector_from_free(z, config), config)
         try:
-            rows = pricing_errors(params, d0, market, config.n_moments)
+            rows = pricing_errors(params, d0, market, config.n_moments, start)
         except PolydivError:
             if not fitted:
                 raise
             return np.full(len(fitted), 1e6)      # unpriceable: a large, finite misfit
+        iterations.extend(row.newton_iterations for row in rows
+                          if row.newton_iterations is not None)
         rows = [row for row in rows if row.kind in kinds]
         fitted[:] = [row.id for row in rows]
         return np.array([math.sqrt(_weight(r.kind, config)) * (r.model - r.market) for r in rows])
@@ -316,7 +334,8 @@ def _fit_stage(z, names, market, kinds, config, budget):
     z[idx] = sol.x
     return {"parameters": list(names), "residuals": fitted, "method": "trf",
             "nfev": int(sol.nfev + len(idx) * sol.njev), "status": int(sol.status),
-            "message": str(sol.message), "seconds": time.perf_counter() - started}
+            "message": str(sol.message), "maxent_fits": len(iterations),
+            "newton_iterations": sum(iterations), "seconds": time.perf_counter() - started}
 
 
 def calibrate(market, config):

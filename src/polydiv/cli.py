@@ -47,7 +47,7 @@ from .errors import (
     NumericError,
     PolydivError,
 )
-from .maxent import OptionSpec, _option_inputs, _price_from_moments
+from .maxent import OptionSpec, _option_inputs, _price_from_moments, fit_fields
 from .mc import SimConfig, martingale_diagnostic, mc_price, simulate_paths, yield_path_stats
 from .model import JumpSpec, ModelParams, PointMass, State, TwoPoint, validate_admissibility
 from .moments import conditional_moments, dividend_futures, stock_futures
@@ -318,16 +318,6 @@ def _cmd_price_futures(args):
     return EXIT_OK
 
 
-def _fit_fields(density, n_moments):
-    """How a price was made: the maxent fit's moment count, Newton iterations,
-    residual and quadrature nodes (all ``None`` but the count for a point mass)."""
-    if density is None:
-        return {"moments_used": n_moments, "newton_iterations": None, "residual": None,
-                "nodes": None}
-    return {"moments_used": density.moments.size - 1, "newton_iterations": density.iterations,
-            "residual": density.residual, "nodes": density.nodes.size}
-
-
 def _cmd_price_option(args):
     params, jump, state, echo = parse_model_config(args.config)
     n_top = args.moments
@@ -356,7 +346,7 @@ def _cmd_price_option(args):
     sweep = []
     for n in range(2, n_top + 1):
         price, density = _price_from_moments(spec.kind, raw[:n], strike_on_raw, discount)
-        sweep.append({"n_moments": n, **_fit_fields(density, n), "price": price})
+        sweep.append({"n_moments": n, **fit_fields(density, n), "price": price})
     price = sweep[-1]["price"]
     payload = {
         "spec": {"kind": spec.kind, "underlying": spec.underlying, "strike": spec.strike,
@@ -465,11 +455,7 @@ def _cmd_calibrate(args):
         max_evals=args.max_evals, weight_iv=args.weight_iv,
     )
     result = calibrate(market, cfg)
-    rows = [
-        {"id": r.id, "kind": r.kind, "market": r.market, "model": r.model,
-         "abs_error": r.abs_error, "moments_used": r.moments_used}
-        for r in result.instruments
-    ]
+    rows = [asdict(r) for r in result.instruments]
     payload = {
         "fitted": {
             "a": cfg.a, "r": cfg.r,

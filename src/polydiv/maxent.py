@@ -18,6 +18,12 @@ jump and state numbers, the horizon or window, and the exact bytes of a
 moment vector) holds about one underlying's moment counts.  A fit that
 failed to converge is remembered as a failure.  Prices are bit-identical
 to cold calls.
+
+A fit may also start from an earlier density with the same moment count
+(``fit_maxent(m, start=...)``): calibration prices each trial point next
+to one it just priced, and Newton from that neighbour's coefficients
+takes a few steps instead of dozens.  Such a fit depends on its start, so
+it skips the memo; cold prices stay bit-identical.
 """
 
 import math
@@ -266,16 +272,22 @@ def _dual_newton(mu, nodes, weights, gamma0):
     return lam, (gamma, m0, s0, log_z), it, residual
 
 
-def fit_maxent(moments):
+def fit_maxent(moments, start=None):
     """Fit the maximum-entropy density matching raw moments M_0..M_N.
 
     Parameters
     ----------
     moments : sequence
         Raw moments, M_0 = 1 first.  At least (M_0, M_1).
+    start : MaxEntDensity, optional
+        An earlier fit with the same moment count, typically of nearby
+        moments.  Newton tries its standardized coefficients first and the
+        cold starts after them; the acceptance check is the same.
 
     Raises
     ------
+    InvalidParameterError
+        If ``start`` is not a density fitted to as many moments.
     InfeasibleMomentsError
         If the sequence fails the leading Hankel checks.
     ConvergenceError
@@ -287,6 +299,10 @@ def fit_maxent(moments):
     if not np.all(np.isfinite(m)):
         raise InvalidParameterError("non-finite moment input")
     _check_feasible(m)
+    if start is not None and not (
+            isinstance(start, MaxEntDensity) and start.moments.size == m.size):
+        raise InvalidParameterError(
+            f"start must be a MaxEntDensity fitted to {m.size - 1} moments")
 
     n = m.size - 1
     std = math.sqrt(m[2] - m[1] ** 2) if n >= 2 else m[1]
@@ -300,7 +316,7 @@ def fit_maxent(moments):
     lo = lo if lo > 0.05 else 0.0
 
     last_residual = np.inf
-    warm = None
+    warm = None if start is None else start.gamma
     s0 = math.sqrt(mu[1] - mu[0] ** 2) if n >= 2 and mu[1] > mu[0] ** 2 else 1.0
     for nodes_count in (_FIT_NODES, 2 * _FIT_NODES, 4 * _FIT_NODES):
         panels = _quad_rule(center, width, nodes_count, lo=lo)
@@ -427,7 +443,7 @@ def _memo(memo, key, compute):
     return value
 
 
-def _price_from_moments(kind, raw_moments, strike, discount):
+def _price_from_moments(kind, raw_moments, strike, discount, start=None):
     """Discounted payoff integral against the maxent fit of M_1..M_N.
 
     Returns the price and the fitted density, whose ``moments`` show the
@@ -435,7 +451,8 @@ def _price_from_moments(kind, raw_moments, strike, discount):
     price the point mass directly and return ``None`` for it.  If the full
     moment count is numerically unfittable (densities extremely
     concentrated relative to their mean), the fit falls back to fewer
-    moments, never below two.
+    moments, never below two.  ``start`` (a density or ``None``) seeds the
+    fit of its own moment count, outside the memo; other counts fit cold.
     """
     m1, m2 = raw_moments[:2]
     if m1 <= 0 or m2 - m1 ** 2 <= 64 * np.finfo(float).eps * m2:
@@ -443,13 +460,26 @@ def _price_from_moments(kind, raw_moments, strike, discount):
     for count in range(len(raw_moments), 1, -1):
         m = np.concatenate(([1.0], raw_moments[:count]))
         try:
-            density = _memo(_FIT_MEMO, m.tobytes(), lambda: fit_maxent(m))
+            if start is not None and start.moments.size == m.size:
+                density = fit_maxent(m, start=start)
+            else:
+                density = _memo(_FIT_MEMO, m.tobytes(), lambda: fit_maxent(m))
             break
         except ConvergenceError:
             if count == 2:
                 raise
     value = integrate_payoff(density, _payoff_fn(kind, strike), points=(strike,))
     return discount * value, density
+
+
+def fit_fields(density, n_moments):
+    """How a price was made: the maxent fit's moment count, Newton iterations,
+    residual and quadrature nodes (all ``None`` but the count for a point mass)."""
+    if density is None:
+        return {"moments_used": n_moments, "newton_iterations": None, "residual": None,
+                "nodes": None}
+    return {"moments_used": density.moments.size - 1, "newton_iterations": density.iterations,
+            "residual": density.residual, "nodes": density.nodes.size}
 
 
 def _underlying_key(params, jump, state):

@@ -117,7 +117,11 @@ def _simulate_block(params, jump, state0, n, n_steps, dt, window_idx, rng, store
             if isinstance(dist, PointMass):
                 jump_sum = dist.z0 * n_jumps
             else:
-                hits = rng.binomial(n_jumps, dist.p)
+                # binomial(0, p) draws nothing from the stream: skipping
+                # the jump-free paths leaves every draw where it was
+                jumped = n_jumps > 0
+                hits = np.zeros_like(n_jumps)
+                hits[jumped] = rng.binomial(n_jumps[jumped], dist.p)
                 jump_sum = dist.z1 * hits + dist.z2 * (n_jumps - hits)
             jcount += n_jumps
         x_new = x + drift_x * dt + sigma * base * sqrt_dt * z[:, 0]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import polydiv.calibration as calibration
+from polydiv import maxent
 from polydiv.calibration import (
     CalibConfig,
     DividendIvQuote,
@@ -79,7 +80,15 @@ class TestPricingErrors:
         # option legs say how many moments their fit used; futures need none
         assert [(r.kind, r.moments_used) for r in rows if r.kind != "futures"] == \
             [("stock_iv", 6), ("dividend_iv", 6)]
-        assert all(r.moments_used is None for r in rows if r.kind == "futures")
+        # and how the fit went; futures carry none of it
+        for r in rows:
+            fit = (r.moments_used, r.newton_iterations, r.residual, r.nodes)
+            if r.kind == "futures":
+                assert fit == (None, None, None, None)
+            else:
+                assert 0 < r.newton_iterations <= 200
+                assert 0.0 <= r.residual <= 1e-10
+                assert r.nodes >= 800
 
     def test_b0_closed_form_market(self):
         p = ModelParams.single_factor(r=0.01, a=0.1, sigma=0.25, b=0.0, beta=-0.3, nu=0.01)
@@ -134,6 +143,8 @@ class TestPricingErrors:
         assert len(rows) == 12
         assert all(math.isfinite(r.model) and math.isfinite(r.abs_error) for r in rows)
         assert [r.moments_used for r in rows if r.kind != "futures"] == [6, 6]
+        assert all((r.newton_iterations, r.residual, r.nodes) == (None, None, None)
+                   for r in rows)
 
 
 class TestObjective:
@@ -289,6 +300,34 @@ class TestCalibrate:
         # every fitting call is counted; calibrate then prices the fit once
         assert len(calls) == res.trace["nfev"] + 1
 
+    def test_identical_calibrations_agree(self):
+        # started fits chain only within one stage of one calibration
+        market = parse_market_csv(SNAPSHOT_CSV)
+        r1, r2 = (calibrate(market, CalibConfig(two_stage=True)) for _ in range(2))
+        assert r1.objective == r2.objective
+        strip = [{k: v for k, v in s.items() if k != "seconds"} for s in r1.trace["stages"]]
+        assert strip == [{k: v for k, v in s.items() if k != "seconds"}
+                         for s in r2.trace["stages"]]
+
+    def test_stage_two_fits_start_from_the_last_density(self, monkeypatch):
+        fits = []
+        fit = maxent.fit_maxent
+
+        def recorded(m, start=None):
+            density = fit(m, start=start)
+            fits.append((start is not None, density.iterations))
+            return density
+
+        maxent._FIT_MEMO.clear()
+        monkeypatch.setattr(maxent, "fit_maxent", recorded)
+        res = calibrate(parse_market_csv(SNAPSHOT_CSV), CalibConfig(two_stage=True))
+        stage2 = res.trace["stages"][1]
+        # the first evaluation and the final pricing fit cold, two options each
+        assert [started for started, _ in fits] == \
+            [False] * 2 + [True] * (stage2["maxent_fits"] - 2) + [False] * 2
+        assert max(iters for started, iters in fits if started) <= 10
+        assert stage2["newton_iterations"] == sum(iters for _, iters in fits[:-2])
+
     @pytest.mark.parametrize("two_stage,max_evals,minimum", [(False, 5, 6), (True, 7, 8)])
     def test_budget_below_one_jacobian_per_stage_rejected(self, two_stage, max_evals, minimum):
         with pytest.raises(InvalidParameterError, match=f"at least {minimum}"):
@@ -303,8 +342,12 @@ class TestCalibrate:
         assert stages[0]["residuals"] == [f.id for f in market.futures]
         assert stages[1]["residuals"] == ["IVSTOCK", "IVDIV"]
         for s in stages:
-            assert sorted(s) == ["message", "method", "nfev", "parameters", "residuals",
-                                 "seconds", "status"]
+            assert sorted(s) == ["maxent_fits", "message", "method", "newton_iterations",
+                                 "nfev", "parameters", "residuals", "seconds", "status"]
             assert s["method"] == "trf" and s["seconds"] > 0.0
+        # futures need no maxent fit; every stage-2 evaluation fits both options
+        assert (stages[0]["maxent_fits"], stages[0]["newton_iterations"]) == (0, 0)
+        assert stages[1]["maxent_fits"] == 2 * stages[1]["nfev"]
+        assert stages[1]["newton_iterations"] >= stages[1]["maxent_fits"]
         assert res.trace["nfev"] == sum(s["nfev"] for s in stages)
         assert res.trace["converged"] == all(s["status"] > 0 for s in stages)

@@ -225,6 +225,25 @@ class TestCommands:
         assert header == ["n_moments", "moments_used", "newton_iterations", "residual",
                           "nodes", "price"]
 
+    def test_calibrate_reports_each_fit(self, config_path, capsys):
+        code, report = run_json(
+            capsys, ["calibrate", "--config", config_path, "--market", BUNDLED_CSV,
+                     "--two-stage"])
+        assert code == 0
+        payload = report["payload"]
+        fields = ("moments_used", "newton_iterations", "residual", "nodes")
+        for row in payload["instruments"]:
+            if row["kind"] == "futures":
+                assert [row[k] for k in fields] == [None] * 4
+            else:
+                assert row["moments_used"] == 6
+                assert 0 < row["newton_iterations"] <= 200
+                assert 0 <= row["residual"] <= 1e-10
+                assert row["nodes"] >= 800
+        stages = payload["trace"]["stages"]
+        assert [(s["maxent_fits"], s["newton_iterations"] > 0) for s in stages] == \
+            [(0, False), (2 * stages[1]["nfev"], True)]
+
     def test_price_option_sweep_reports_fallback(self, tmp_path, capsys):
         # three-factor jump model of random_admissible_params seed (1, 1): at
         # T = 3 the N = 5 and N = 6 stock fits fall back to four moments

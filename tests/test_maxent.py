@@ -360,3 +360,110 @@ class TestRepeatedPrices:
             with pytest.raises(ConvergenceError):
                 price_stock_option(p, None, st, spec, 3)
         assert len(calls) == len(set(calls)) == 2
+
+
+def _lognormal_moments(cv, n=6):
+    sig2 = math.log1p(cv ** 2)
+    return [math.exp(0.5 * k * (k - 1) * sig2) for k in range(n + 1)]
+
+
+def _atm_call(density):
+    fwd = density.moments[1]
+    return integrate_payoff(density, lambda x: np.maximum(x - fwd, 0.0), points=(fwd,))
+
+
+class TestStartedFit:
+    """A fit may start from an earlier density with the same moment count."""
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        _clear_memo()
+        yield
+        _clear_memo()
+
+    @pytest.mark.parametrize("bump", [1e-5, -1e-5])
+    @pytest.mark.parametrize("underlying", ["stock", "dividend"])
+    def test_nearby_start_matches_the_cold_fit(self, underlying, bump):
+        # a finite-difference step in (sigma, nu1), as calibration takes
+        kw = dict(r=0.01, a=0.2, sigma=0.2813, b=0.0103, beta=-0.3439, nu=0.0194)
+        st = reference_state()
+        spec = OptionSpec("call", underlying, 1.0, 1.0, 0.01,
+                          (0.0, 1.0) if underlying == "dividend" else None)
+
+        def moments(scale):
+            p = ModelParams.single_factor(**{**kw, "sigma": kw["sigma"] * scale,
+                                             "nu": kw["nu"] * scale})
+            raw = maxent._option_inputs(p, None, st, spec, 6)[0]
+            return np.concatenate(([1.0], raw))
+
+        start = fit_maxent(moments(1.0))
+        m = moments(1.0 + bump)
+        assert np.max(np.abs(m[1:] / start.moments[1:] - 1.0)) < 1e-4
+        started, cold = fit_maxent(m, start=start), fit_maxent(m)
+        assert started.iterations <= 10 < cold.iterations
+        assert started.residual <= maxent._VERIFY_TOL
+        for k in range(7):
+            got = integrate_payoff(started, lambda x, k=k: x ** k, points=(m[1],))
+            assert got == pytest.approx(m[k], rel=1e-10)
+        assert abs(_atm_call(started) - _atm_call(cold)) <= 1e-9 * m[1]
+
+    def test_far_start_still_converges(self):
+        # lognormal moments with ten times the variance
+        m = _lognormal_moments(0.1)
+        far = fit_maxent(_lognormal_moments(math.sqrt(10.0) * 0.1))
+        started, cold = fit_maxent(m, start=far), fit_maxent(m)
+        assert started.residual <= maxent._VERIFY_TOL
+        assert abs(_atm_call(started) - _atm_call(cold)) <= 1e-9
+
+    def test_failed_start_falls_back_to_the_cold_starts(self):
+        # Newton from the unit exponential's coefficients stalls far from
+        # these moments; the cold starts then give the cold fit exactly
+        m = _lognormal_moments(0.1)
+        started = fit_maxent(m, start=fit_maxent([math.factorial(k) for k in range(7)]))
+        cold = fit_maxent(m)
+        np.testing.assert_array_equal(started.lambdas, cold.lambdas)
+        assert started.iterations == cold.iterations
+
+    @pytest.mark.parametrize("start", ["gamma", "count"])
+    def test_malformed_start_rejected(self, start):
+        m = _lognormal_moments(0.1)
+        fit = fit_maxent(m[:6])
+        bad = fit.gamma if start == "gamma" else fit
+        with pytest.raises(InvalidParameterError, match="start must be"):
+            fit_maxent(m, start=bad)
+
+    def test_cold_fit_is_unchanged(self):
+        # recorded before starts existed (numpy 2.4, this rule and tolerance):
+        # lognormal moments with sigma^2 = 0.04
+        d = fit_maxent([math.exp(0.02 * k * (k - 1)) for k in range(7)])
+        assert [v.hex() for v in d.lambdas] == [
+            "0x1.85d158aa3f8c2p+5", "-0x1.6df4eef73beedp+7", "0x1.16fd62e83321fp+8",
+            "-0x1.cdc29383e7ea1p+7", "0x1.bcf77dd3d256bp+6", "-0x1.ce74963086b87p+4",
+            "0x1.8f54e216f2427p+1"]
+        assert d.iterations == 79
+        assert d.residual.hex() == "0x1.69871be45667ap-47"
+
+    def test_price_passes_a_start_of_its_own_count_only(self, monkeypatch):
+        p, st = reference_params(0.2), reference_state()
+        spec = OptionSpec("call", "stock", 1.0, 0.25, p.r)
+        raw, strike, discount = maxent._option_inputs(p, None, st, spec, 6)
+        near = fit_maxent(np.concatenate(([1.0], raw * (1.0 + 1e-7) ** np.arange(1, 7))))
+        calls = []
+        fit = maxent.fit_maxent
+
+        def recorded(m, start=None):
+            calls.append(start)
+            return fit(m, start=start)
+
+        monkeypatch.setattr(maxent, "fit_maxent", recorded)
+        cold_price, cold = maxent._price_from_moments("call", raw, strike, discount)
+        # a started fit neither reads nor fills the memo
+        price, density = maxent._price_from_moments("call", raw, strike, discount, start=near)
+        assert calls == [None, near] and density is not cold
+        assert list(maxent._FIT_MEMO.values()) == [cold]
+        assert abs(price - cold_price) <= 1e-9
+        # a start with another count leaves the fit cold, through the memo
+        fewer = fit_maxent(np.concatenate(([1.0], raw[:5])))
+        assert maxent._price_from_moments("call", raw, strike, discount, start=fewer) == \
+            (cold_price, cold)
+        assert calls == [None, near]

@@ -5,6 +5,7 @@ import pytest
 
 from polydiv.errors import ConfigError, DomainError, InvalidParameterError
 from polydiv.mc import (
+    BLOCK_SIZE,
     SimConfig,
     _worker_count,
     martingale_diagnostic,
@@ -106,6 +107,19 @@ class TestSimulatePaths:
         bundle = simulate_paths(params_a02, jump, state0, cfg)
         assert bundle.jump_counts.sum() > 0
         assert np.all(bundle.terminal_x > 0)
+
+    def test_two_point_stream_is_pinned(self, params_a02, state0):
+        # sums recorded on a seeded run of two blocks and five paths; any
+        # change in what the step loop draws, or in what order, moves them
+        jump = JumpSpec(lam=1.0, dist=TwoPoint(z1=-0.3, p=0.4, z2=0.25))
+        cfg = SimConfig(n_paths=2 * BLOCK_SIZE + 5, horizon=0.5, seed=11,
+                        windows=((0.0, 0.25), (0.25, 0.5)))
+        bundle = simulate_paths(params_a02, jump, state0, cfg)
+        assert float(bundle.terminal_x.sum()) == 8085.026585856374
+        assert float(bundle.terminal_c.sum()) == 149.59930440393222
+        assert [float(w.sum()) for w in bundle.window_sums.values()] == \
+            [75.39784718297403, 74.20145722095818]
+        assert int(bundle.jump_counts.sum()) == 4021
 
     def test_jump_increment_identity(self, state0):
         # with diffusion switched off, a single-jump Euler step satisfies
