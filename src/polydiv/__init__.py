@@ -80,6 +80,7 @@ from .moments import (
     cumulative_dividend_moments,
     dividend_futures,
     expm_apply,
+    futures_strip,
     pv_dividends,
     pv_dividends_limit,
     stock_futures,

@@ -24,10 +24,10 @@ from scipy.optimize import least_squares
 from .black import implied_vol
 from .errors import CalibrationError, InvalidParameterError, MarketDataError, PolydivError
 from .maxent import OptionSpec, _option_inputs, _price_from_moments, fit_fields
-# kept for perfbench's tracer, which wraps these two names in this module
+# price_* and *_futures are kept for perfbench's tracer, which wraps them here
 from .maxent import price_dividend_option, price_stock_option  # noqa: F401
 from .model import ModelParams, State, validate_admissibility
-from .moments import dividend_futures, stock_futures
+from .moments import dividend_futures, futures_strip, stock_futures  # noqa: F401
 
 PENALTY_WEIGHT = 1e6
 
@@ -167,6 +167,8 @@ class PricedInstrument:
     newton_iterations: int | None = None
     residual: float | None = None
     nodes: int | None = None
+    top_coefficient: float | None = None
+    cut_log_pdf_ratio: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,16 +223,19 @@ def pricing_errors(params, d0, market, n_moments, start=None):
             start[spec.underlying] = density
         return value, fit_fields(density, n_moments)
 
-    for f in market.futures:
-        add(f.id, "futures", f.quote,
-            market.spot * dividend_futures(params, None, state, 0.0, f.t0, f.t1))
+    # the strip, the stock-IV forward and the dividend-IV forward in one call
+    expiries = () if market.stock_iv is None else (market.stock_iv.expiry,)
+    strip, stock_fwd = futures_strip(params, state, 0.0,
+                                     [(f.t0, f.t1) for f in market.futures], expiries)
+    for f, value in zip(market.futures, strip):
+        add(f.id, "futures", f.quote, market.spot * float(value))
     if market.stock_iv is not None:
         q = market.stock_iv
         spec = OptionSpec(
             kind="call", underlying="stock", strike=1.0, expiry=q.expiry, rate=params.r
         )
         value, fit = price(spec)
-        fwd = stock_futures(params, None, state, 0.0, q.expiry)
+        fwd = float(stock_fwd[0])
         carry = params.r - math.log(fwd) / q.expiry
         model_iv = implied_vol(
             value, 1.0, 1.0, q.expiry, params.r, "black-scholes", dividend_yield=carry
@@ -239,7 +244,7 @@ def pricing_errors(params, d0, market, n_moments, start=None):
     if market.dividend_iv is not None:
         q = market.dividend_iv
         f = market.futures_by_id(q.futures_id)
-        fwd = dividend_futures(params, None, state, 0.0, f.t0, f.t1)
+        fwd = float(strip[market.futures.index(f)])
         spec = OptionSpec(
             kind="call", underlying="dividend", strike=fwd, expiry=f.t1,
             rate=params.r, window=(f.t0, f.t1),

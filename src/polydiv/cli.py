@@ -47,10 +47,10 @@ from .errors import (
     NumericError,
     PolydivError,
 )
-from .maxent import OptionSpec, _option_inputs, _price_from_moments, fit_fields
+from .maxent import OptionSpec, _option_inputs, _payoff_fn, _price_from_moments, fit_fields
 from .mc import SimConfig, martingale_diagnostic, mc_price, simulate_paths, yield_path_stats
 from .model import JumpSpec, ModelParams, PointMass, State, TwoPoint, validate_admissibility
-from .moments import conditional_moments, dividend_futures, stock_futures
+from .moments import conditional_moments, dividend_futures, futures_strip, stock_futures
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -281,10 +281,6 @@ def _cmd_validate(args):
     return EXIT_OK if report.admissible else EXIT_VALIDATION
 
 
-def _default_windows():
-    return [(float(k - 1), float(k)) for k in range(1, 11)]
-
-
 def _cmd_price_futures(args):
     params, jump, state, echo = parse_model_config(args.config)
     if args.market:
@@ -292,17 +288,17 @@ def _cmd_price_futures(args):
         windows = [(f.id, f.t0, f.t1, f.quote) for f in market.futures]
         scale = market.spot
     else:
-        windows = [(f"W{k}", t0, t1, None) for k, (t0, t1) in enumerate(_default_windows(), 1)]
+        windows = [(f"W{k}", k - 1.0, float(k), None) for k in range(1, 11)]
         scale = 1.0
+    strip, stock = futures_strip(params, state, 0.0, [(t0, t1) for _, t0, t1, _ in windows],
+                                 [max(t1, 0.0) for _, _, t1, _ in windows])
     rows = []
-    for wid, t0, t1, quote in windows:
-        px = scale * dividend_futures(params, jump, state, 0.0, t0, t1)
-        sf = scale * stock_futures(params, jump, state, 0.0, max(t1, 0.0))
+    for (wid, t0, t1, quote), px, sf in zip(windows, scale * strip, scale * stock):
         row = {"id": wid, "window_start": t0, "window_end": t1,
-               "dividend_futures": px, "stock_futures": sf}
+               "dividend_futures": float(px), "stock_futures": float(sf)}
         if quote is not None:
             row["quote"] = quote
-            row["abs_error"] = abs(px - quote)
+            row["abs_error"] = abs(float(px) - quote)
         rows.append(row)
     csv_rows = [
         (r["id"], r["window_start"], r["window_end"], r["dividend_futures"], r["stock_futures"])
@@ -355,7 +351,7 @@ def _cmd_price_option(args):
         "price": price,
         "moment_sweep": sweep,
     }
-    columns = ["n_moments", "moments_used", "newton_iterations", "residual", "nodes", "price"]
+    columns = list(sweep[0])
     csv_rows = [[row[c] for c in columns] for row in sweep]
     if args.mc:
         horizon = expiry if args.underlying == "stock" else window[1]
@@ -364,12 +360,9 @@ def _cmd_price_option(args):
             seed=args.seed, windows=(window,) if window else (),
         )
         bundle = simulate_paths(params, jump, state, cfg)
-        if spec.kind == "call":
-            payoff = lambda u: np.maximum(u - spec.strike, 0.0)
-        else:
-            payoff = lambda u: np.maximum(spec.strike - u, 0.0)
-        est = mc_price(bundle, payoff, math.exp(-params.r * spec.expiry),
-                       control="degree-one", underlying=mc_underlying)
+        est = mc_price(bundle, _payoff_fn(spec.kind, spec.strike),
+                       math.exp(-params.r * spec.expiry), control="degree-one",
+                       underlying=mc_underlying)
         payload["mc"] = {
             "value": est.value, "std_error": est.std_error,
             "ci_low": est.ci_low, "ci_high": est.ci_high,

@@ -474,12 +474,20 @@ def _price_from_moments(kind, raw_moments, strike, discount, start=None):
 
 def fit_fields(density, n_moments):
     """How a price was made: the maxent fit's moment count, Newton iterations,
-    residual and quadrature nodes (all ``None`` but the count for a point mass)."""
+    residual, quadrature nodes, and two signs of a density that needs the
+    domain cut: gamma_N <= 0 (``top_coefficient``, the standardized top
+    multiplier) and ln pdf(cut) - ln pdf(M_1) near 0 (``cut_log_pdf_ratio``,
+    from the exponent, so it never underflows).  ``None`` for a point mass."""
     if density is None:
         return {"moments_used": n_moments, "newton_iterations": None, "residual": None,
-                "nodes": None}
+                "nodes": None, "top_coefficient": None, "cut_log_pdf_ratio": None}
+    z_mean, z_cut = (np.array([density.moments[1] / density.scale, 1.0])
+                     - density.z_center) / density.z_scale
+    exponent = np.concatenate(([0.0], density.gamma))
     return {"moments_used": density.moments.size - 1, "newton_iterations": density.iterations,
-            "residual": density.residual, "nodes": density.nodes.size}
+            "residual": density.residual, "nodes": density.nodes.size,
+            "top_coefficient": float(density.gamma[-1]),
+            "cut_log_pdf_ratio": float(polyval(z_mean, exponent) - polyval(z_cut, exponent))}
 
 
 def _underlying_key(params, jump, state):

@@ -11,6 +11,8 @@ so small high-degree moments do not inherit the absolute errors of large
 ones.  Window dividends restart the accrual at T0 (the Markov property).
 Futures prices and the dividend present value need only degree one, where
 the diffusions and the compensated jumps drop out: the (2 + d) drift matrix.
+With no small moments to lose there, the mean itself is carried forward,
+over a whole futures strip at once (:func:`futures_strip`).
 """
 
 import numbers
@@ -82,12 +84,11 @@ def conditional_moments(params, jump, state, t, T, n):
     return MomentSet(basis=basis, t=t, T=T, values=values)
 
 
-def _degree_one_moments(params, state, dt, rate=0.0, window=None):
-    """E_t[(C_T - C_t, X_T, Y_T)] discounted at `rate`, T = t + dt, or with a
-    `window` length E_t[C_T1 - C_T0] over [T, T + window], for admissible
-    parameters.  The rows are carried back on the generator's degree-one
-    block: an accumulator row (d acc = 1'y) on top of the (x, y) drift
-    ``[[r - rate, -1'], [b, beta - rate I]]``."""
+def _forward_means(params, state, t, dates, rate=0.0):
+    """E_t[(C_s - C_t, X_s, Y_s)] discounted at `rate`, for each date s >= t, in
+    request order: the mean is carried forward from (0, x, y) over the sorted
+    dates by the drift matrix ``[[0, 0, 1'], [0, r - rate, -1'], [0, b, beta -
+    rate I]]``, exponentiated in one stacked call, once per distinct step."""
     d = params.d
     mat = np.zeros((2 + d, 2 + d))
     mat[0, 2:] = 1.0
@@ -95,42 +96,54 @@ def _degree_one_moments(params, state, dt, rate=0.0, window=None):
     mat[1, 2:] = -1.0
     mat[2:, 1] = params.b
     mat[2:, 2:] = params.beta - rate * np.eye(d)
-    rows = np.eye(2 + d)
-    if window is not None:
-        rows = expm_apply(mat.T, window, rows[0])
-        rows[0] = 0.0                       # the accrual restarts at T0
-    return np.concatenate(([0.0, state.x], state.y)) @ expm_apply(mat.T, dt, rows)
+    # sets and dicts over the few dates: np.unique would page ~0.4 MB of sort code in
+    times = sorted({t, *map(float, dates)})
+    steps = sorted({b - a for a, b in zip(times, times[1:])})
+    props = dict(zip(steps, expm(np.multiply.outer(steps, mat)))) if steps else {}
+    means = {t: np.concatenate(([0.0, state.x], state.y))}
+    for a, b in zip(times, times[1:]):
+        means[b] = props[b - a] @ means[a]
+    out = np.array([means[s] for s in dates]).reshape(len(dates), 2 + d)
+    if not np.all(np.isfinite(out)):
+        raise NumericError("matrix exponential produced non-finite values")
+    return out
+
+
+def futures_strip(params, state, t, windows, expiries=()):
+    """Dividend futures E_t[C_T1 - C_T0] for each (T0, T1) of `windows` and
+    stock futures E_t[X_T] for each T of `expiries`, as two arrays in request
+    order, from one forward propagation of the degree-one mean.
+
+    All dates are checked before any work, the parameters once.  A window
+    that has started (T0 < t) needs ``state.c`` to be the dividends accrued
+    since T0, and is priced as ``state.c`` plus E_t[C_T1 - C_t].  Only the
+    drift enters: compensated jumps leave every mean unchanged.
+    """
+    w = np.array(windows, dtype=float).reshape(len(windows), 2)
+    e = np.array(expiries, dtype=float).reshape(len(expiries))
+    if not np.all(np.isfinite(np.append(w, e))):
+        raise InvalidParameterError("futures dates must be finite")
+    bad = [f"window ({T0}, {T1}) ends before it starts" for T0, T1 in w if T1 < T0]
+    bad += [f"date {T} lies before t={t}" for T in np.append(w[:, 1], e) if T < t]
+    if bad:
+        raise InvalidParameterError("; ".join(bad))
+    require_admissible(params)
+    n = len(w)
+    means = _forward_means(params, state, t, np.concatenate((np.maximum(w[:, 0], t), w[:, 1], e)))
+    accrued = np.where(w[:, 0] < t, state.c, 0.0)
+    return means[n:2 * n, 0] - means[:n, 0] + accrued, means[2 * n:, 1]
 
 
 def stock_futures(params, jump, state, t, T):
-    """Futures price on the stock: E_t[X_T].
-
-    `jump` does not enter: compensated jumps leave every mean unchanged.
-    """
-    if T < t:
-        raise InvalidParameterError(f"need T >= t, got T={T} < t={t}")
-    require_admissible(params)
-    return float(_degree_one_moments(params, state, T - t)[1])
+    """Futures price on the stock, E_t[X_T]: a one-date :func:`futures_strip`.
+    `jump` does not enter."""
+    return float(futures_strip(params, state, t, (), (T,))[1][0])
 
 
 def dividend_futures(params, jump, state, t, T0, T1):
-    """Futures price on dividends paid over [T0, T1]: E_t[C_T1 - C_T0].
-
-    The accrual row is carried back over the window, restarted at zero, and
-    carried back to t from max(T0, t).  For a window that has already
-    started (T0 < t) the state's ``c`` must measure dividends accrued since
-    the window start; the price is then ``state.c`` plus the dividends
-    still to come, E_t[C_T1 - C_t].  `jump` does not enter, as in
-    :func:`stock_futures`.
-    """
-    if T1 < T0:
-        raise InvalidParameterError(f"need T1 >= T0, got T1={T1} < T0={T0}")
-    if T1 < t:
-        raise InvalidParameterError(f"window end T1={T1} lies before t={t}")
-    require_admissible(params)
-    start = max(T0, t)
-    to_come = _degree_one_moments(params, state, start - t, window=T1 - start)
-    return float(to_come + (state.c if T0 < t else 0.0))
+    """Futures price on dividends paid over [T0, T1], E_t[C_T1 - C_T0]: a
+    one-window :func:`futures_strip`.  `jump` does not enter."""
+    return float(futures_strip(params, state, t, ((T0, T1),))[0][0])
 
 
 def _power_moments(params, jump, state, dt, n, window=None):
@@ -189,8 +202,8 @@ def pv_dividends(params, state, horizon):
     if horizon < 0:
         raise InvalidParameterError(f"need horizon >= 0, got {horizon}")
     require_admissible(params)
-    out = _degree_one_moments(params, state, horizon, rate=params.r)
-    return PresentValue(pv_dividends=float(out[0]), discounted_terminal=float(out[1]))
+    acc, x = _forward_means(params, state, 0.0, (horizon,), rate=params.r)[0, :2]
+    return PresentValue(pv_dividends=float(acc), discounted_terminal=float(x))
 
 
 def pv_dividends_limit(params, state, horizon=200.0, check_horizon=150.0, tol=1e-6):

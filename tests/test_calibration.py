@@ -1,11 +1,13 @@
 import math
 import os
+from collections import OrderedDict
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import polydiv.calibration as calibration
-from polydiv import maxent
+from polydiv import generator, maxent, moments
 from polydiv.calibration import (
     CalibConfig,
     DividendIvQuote,
@@ -143,8 +145,68 @@ class TestPricingErrors:
         assert len(rows) == 12
         assert all(math.isfinite(r.model) and math.isfinite(r.abs_error) for r in rows)
         assert [r.moments_used for r in rows if r.kind != "futures"] == [6, 6]
-        assert all((r.newton_iterations, r.residual, r.nodes) == (None, None, None)
-                   for r in rows)
+        assert all((r.newton_iterations, r.residual, r.nodes, r.top_coefficient,
+                    r.cut_log_pdf_ratio) == (None,) * 5 for r in rows)
+
+
+@pytest.fixture(scope="module")
+def snapshot_fit():
+    """The default two-stage fit of the shipped snapshot, and its market."""
+    market = parse_market_csv(SNAPSHOT_CSV)
+    return market, calibrate(market, CalibConfig(two_stage=True))
+
+
+class TestSnapshotFitPricing:
+    @pytest.mark.parametrize("futures_only,checks,exponentials", [(False, 3, 13), (True, 1, 1)],
+                             ids=["full_market", "futures_only"])
+    def test_work_per_pricing(self, snapshot_fit, monkeypatch, futures_only, checks,
+                              exponentials):
+        # one admissibility check and one stacked exponential for the strip
+        # and both forwards; each option adds a generator build (one check)
+        # and six moment exponentials, on fresh memos
+        market, res = snapshot_fit
+        if futures_only:
+            market = replace(market, stock_iv=None, dividend_iv=None)
+        counts = {"checks": 0, "exponentials": 0}
+        check, exponential = moments.require_admissible, moments.expm
+
+        def counted_check(params):
+            counts["checks"] += 1
+            return check(params)
+
+        def counted_expm(a):
+            counts["exponentials"] += 1
+            return exponential(a)
+
+        for module in (moments, generator):
+            monkeypatch.setattr(module, "require_admissible", counted_check)
+        monkeypatch.setattr(moments, "expm", counted_expm)
+        monkeypatch.setattr(maxent, "_MOMENT_MEMO", OrderedDict())
+        monkeypatch.setattr(maxent, "_FIT_MEMO", OrderedDict())
+        rows = pricing_errors(res.params, res.d0, market, 6)
+        assert len(rows) == market.n_instruments
+        assert counts == {"checks": checks, "exponentials": exponentials}
+
+    def test_fit_fields_say_whether_the_stock_density_needs_the_cut(self, snapshot_fit):
+        market, res = snapshot_fit
+        spec = maxent.OptionSpec(kind="call", underlying="stock", strike=1.0,
+                                 expiry=market.stock_iv.expiry, rate=res.params.r)
+        raw, strike, discount = maxent._option_inputs(
+            res.params, None, State(0.0, 1.0, [res.d0]), spec, 6)
+        fits = {n: maxent._price_from_moments("call", raw[:n], strike, discount)[1]
+                for n in (5, 6)}
+        fields = {n: maxent.fit_fields(fits[n], n) for n in fits}
+        # N = 6 decays past the cut; N = 5 rises toward it and exists only
+        # because of it, with the pdf at the cut e^-13.8 of the pdf at M_1
+        assert fields[6]["top_coefficient"] == pytest.approx(7.9e-5, rel=0.01)
+        assert fields[5]["top_coefficient"] == pytest.approx(-1.5e-4, rel=0.01)
+        assert fields[6]["cut_log_pdf_ratio"] < -1e5
+        five = fits[5]
+        assert fields[5]["cut_log_pdf_ratio"] == pytest.approx(
+            math.log(five.pdf(five.scale) / five.pdf(raw[0])), rel=1e-9)
+        row = next(r for r in res.instruments if r.kind == "stock_iv")
+        assert (row.top_coefficient, row.cut_log_pdf_ratio) == (
+            fields[6]["top_coefficient"], fields[6]["cut_log_pdf_ratio"])
 
 
 class TestObjective:

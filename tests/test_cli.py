@@ -8,6 +8,7 @@ import pytest
 from polydiv.cli import parse_market_csv, parse_model_config, run
 from polydiv.errors import ConfigError, InadmissibleParamsError, MarketDataError
 from polydiv.maxent import OptionSpec, price_stock_option
+from polydiv.moments import dividend_futures, stock_futures
 
 from conftest import random_admissible_params, random_state_in_E
 
@@ -205,6 +206,20 @@ class TestCommands:
         assert len(rows) == 10
         assert all(row["abs_error"] <= 2.5 for row in rows)
 
+    def test_price_futures_strip_matches_one_window_calls(self, config_path, capsys):
+        params, _, state, _ = parse_model_config(config_path)
+        market = parse_market_csv(BUNDLED_CSV)
+        _, report = run_json(
+            capsys, ["price", "futures", "--config", config_path, "--market", BUNDLED_CSV])
+        rows = report["payload"]["term_structure"]
+        assert rows[0]["window_start"] == pytest.approx(-3 / 365)     # DF1 has started
+        for row in rows:
+            t0, t1 = row["window_start"], row["window_end"]
+            assert row["dividend_futures"] == pytest.approx(
+                market.spot * dividend_futures(params, None, state, 0.0, t0, t1), rel=1e-12)
+            assert row["stock_futures"] == pytest.approx(
+                market.spot * stock_futures(params, None, state, 0.0, t1), rel=1e-12)
+
     def test_price_option_sweep(self, config_path, tmp_path, capsys):
         out = str(tmp_path / "out")
         code, report = run_json(
@@ -220,10 +235,12 @@ class TestCommands:
             assert 0 < row["newton_iterations"] <= 200
             assert 0 <= row["residual"] <= 1e-10
             assert row["nodes"] >= 800
+            assert math.isfinite(row["top_coefficient"])
+            assert row["cut_log_pdf_ratio"] < 0
         with open(os.path.join(out, "moment_sweep.csv")) as fh:
             header = fh.readline().strip().split(",")
         assert header == ["n_moments", "moments_used", "newton_iterations", "residual",
-                          "nodes", "price"]
+                          "nodes", "top_coefficient", "cut_log_pdf_ratio", "price"]
 
     def test_calibrate_reports_each_fit(self, config_path, capsys):
         code, report = run_json(
@@ -231,10 +248,11 @@ class TestCommands:
                      "--two-stage"])
         assert code == 0
         payload = report["payload"]
-        fields = ("moments_used", "newton_iterations", "residual", "nodes")
+        fields = ("moments_used", "newton_iterations", "residual", "nodes", "top_coefficient",
+                  "cut_log_pdf_ratio")
         for row in payload["instruments"]:
             if row["kind"] == "futures":
-                assert [row[k] for k in fields] == [None] * 4
+                assert [row[k] for k in fields] == [None] * 6
             else:
                 assert row["moments_used"] == 6
                 assert 0 < row["newton_iterations"] <= 200

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import polydiv.moments as moments
 from polydiv.errors import InadmissibleParamsError, InvalidParameterError, NumericError
 from polydiv.generator import build_basis, build_generator, eval_basis
 from polydiv.model import JumpSpec, ModelParams, State, TwoPoint
@@ -13,6 +14,7 @@ from polydiv.moments import (
     cumulative_dividend_moments,
     dividend_futures,
     expm_apply,
+    futures_strip,
     pv_dividends,
     pv_dividends_limit,
     stock_futures,
@@ -170,6 +172,67 @@ class TestFutures:
             dividend_futures(p, None, state0, 0.0, 0.0, 1.0)
         with pytest.raises(InadmissibleParamsError):
             pv_dividends(p, state0, 1.0)
+
+
+def generator_path_futures(params, jump, state, t, windows, expiries):
+    """Degree-one moments from the generator, one window or expiry at a time."""
+    div = [cumulative_dividend_moments(params, jump, state, t, max(T0, t), T1, 1)[0]
+           + (state.c if T0 < t else 0.0) for T0, T1 in windows]
+    stock = [conditional_moments(params, jump, state, t, T, 1).value(j=1) for T in expiries]
+    return div, stock
+
+
+class TestFuturesStrip:
+    # unsorted, overlapping, started, zero-length, ending at t, and one
+    # spanning the whole strip; expiries unsorted, one at t
+    WINDOWS = [(1.5, 3.0), (0.2, 1.2), (-0.3, 1.4), (0.7, 0.7), (-0.1, 0.2), (0.2, 0.2),
+               (1.0, 2.5), (0.2, 3.0)]
+    EXPIRIES = [1.9, 0.2, 3.0, 0.45]
+
+    @pytest.mark.parametrize("jump", [None, JumpSpec(lam=1.3, dist=TwoPoint(-0.5, 0.4, 0.6))],
+                             ids=["diffusion", "two_point_jump"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_agrees_with_generator_path(self, d, jump):
+        rng = np.random.default_rng(20 + d)
+        params = random_admissible_params(rng, d)
+        state = random_state_in_E(rng, params)
+        div, stock = futures_strip(params, state, 0.2, self.WINDOWS, self.EXPIRIES)
+        ref_div, ref_stock = generator_path_futures(params, jump, state, 0.2,
+                                                    self.WINDOWS, self.EXPIRIES)
+        np.testing.assert_allclose(div, ref_div, rtol=1e-12)
+        np.testing.assert_allclose(stock, ref_stock, rtol=1e-12)
+
+    def test_edge_windows_are_exact(self, params_a02):
+        state = State(c=0.4, x=1.3, y=[0.05])
+        div, stock = futures_strip(params_a02, state, 0.2, self.WINDOWS, self.EXPIRIES)
+        # zero-length: nothing accrues; ending at t: only what already accrued
+        assert (div[3], div[5], div[4]) == (0.0, 0.0, state.c)
+        assert stock[1] == state.x
+
+    def test_one_check_and_one_exponential(self, params_a02, state0, monkeypatch):
+        calls = []
+        monkeypatch.setattr(moments, "require_admissible", lambda p: calls.append("check"))
+        monkeypatch.setattr(moments, "expm", lambda a: calls.append(a.shape) or expm(a))
+        futures_strip(params_a02, state0, 0.0, [(k - 1.0, float(k)) for k in range(1, 11)],
+                      [0.25, 10.0])
+        # steps of 0.25, 0.75 and nine of 1 year: three exponentials in one call
+        assert calls == ["check", (3, 3, 3)]
+
+    @pytest.mark.parametrize("windows,expiries,match", [
+        ([(0.0, 1.0), (2.0, 1.5)], [1.0], r"window \(2.0, 1.5\) ends before it starts"),
+        ([(0.0, 1.0), (-0.5, 0.1)], [1.0], "date 0.1 lies before t=0.2"),
+        ([(0.0, 1.0)], [1.0, 0.1], "date 0.1 lies before t=0.2"),
+        ([(0.0, float("nan"))], [], "finite"),
+        ([(0.0, 1.0)], [float("inf")], "finite"),
+    ], ids=["reversed_window", "window_ends_before_t", "expiry_before_t", "nan", "inf"])
+    def test_malformed_request_rejected_before_any_work(self, params_a02, state0, monkeypatch,
+                                                        windows, expiries, match):
+        calls = []
+        monkeypatch.setattr(moments, "require_admissible", lambda p: calls.append("check"))
+        monkeypatch.setattr(moments, "expm", lambda a: calls.append("expm") or expm(a))
+        with pytest.raises(InvalidParameterError, match=match):
+            futures_strip(params_a02, state0, 0.2, windows, expiries)
+        assert calls == []
 
 
 class TestCumulativeDividendMoments:
