@@ -25,8 +25,9 @@ import time
 from dataclasses import asdict, is_dataclass
 
 import numpy as np
+import scipy
 
-from . import __version__, model
+from . import __version__, _blas, model
 from .calibration import (
     CalibConfig,
     DividendIvQuote,
@@ -246,7 +247,8 @@ def _jsonify(obj):
 
 def _report(command, config_echo, payload, seed=None, started=None):
     meta = {
-        "versions": {"polydiv": __version__, "numpy": np.__version__},
+        "versions": {"polydiv": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
+        "blas_single_thread": _blas.libraries(),
         "seed": seed,
         "elapsed_s": round(time.perf_counter() - started, 6) if started is not None else None,
     }

@@ -36,6 +36,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 from scipy.special import roots_legendre
 
+from ._blas import single_thread
 from .black import black76_price, black_scholes_price, implied_vol  # noqa: F401  (re-export)
 from .errors import ConvergenceError, InfeasibleMomentsError, InvalidParameterError
 from .moments import cumulative_dividend_moments, stock_price_moments
@@ -272,6 +273,7 @@ def _dual_newton(mu, nodes, weights, gamma0):
     return lam, (gamma, m0, s0, log_z), it, residual
 
 
+@single_thread
 def fit_maxent(moments, start=None):
     """Fit the maximum-entropy density matching raw moments M_0..M_N.
 
@@ -367,6 +369,7 @@ def fit_maxent(moments, start=None):
     )
 
 
+@single_thread
 def integrate_payoff(density, payoff, points=()):
     """Integral of ``payoff(x) * density(x)`` on the fit's own panels.
 
@@ -404,13 +407,17 @@ class OptionSpec:
             raise InvalidParameterError(f"unknown option kind {self.kind!r}")
         if self.underlying not in ("stock", "dividend"):
             raise InvalidParameterError(f"unknown underlying {self.underlying!r}")
-        if not self.strike > 0:
-            raise InvalidParameterError(f"strike must be positive, got {self.strike}")
-        if not self.expiry > 0:
-            raise InvalidParameterError(f"expiry must be positive, got {self.expiry}")
+        if not (self.strike > 0 and math.isfinite(self.strike)):
+            raise InvalidParameterError(f"strike must be positive and finite, got {self.strike}")
+        if not (self.expiry > 0 and math.isfinite(self.expiry)):
+            raise InvalidParameterError(f"expiry must be positive and finite, got {self.expiry}")
+        if not math.isfinite(self.rate):
+            raise InvalidParameterError(f"rate must be finite, got {self.rate}")
         if self.underlying == "dividend":
             if self.window is None or len(self.window) != 2:
                 raise InvalidParameterError("dividend option needs a (T0, T1) window")
+            if not all(map(math.isfinite, self.window)):
+                raise InvalidParameterError(f"window ends must be finite, got {self.window}")
 
 
 def _payoff_fn(kind, strike):
@@ -530,6 +537,7 @@ def _option_inputs(params, jump, state, spec, n_moments):
     return _memo(_MOMENT_MEMO, key, moments), strike, discount
 
 
+@single_thread
 def price_stock_option(params, jump, state, spec, n_moments):
     """Price a stock option by moment matching with ``n_moments`` moments."""
     if spec.underlying != "stock":
@@ -537,6 +545,7 @@ def price_stock_option(params, jump, state, spec, n_moments):
     return _price_from_moments(spec.kind, *_option_inputs(params, jump, state, spec, n_moments))[0]
 
 
+@single_thread
 def price_dividend_option(params, jump, state, spec, n_moments):
     """Price an option on dividends paid over spec.window, expiring at T1."""
     if spec.underlying != "dividend":

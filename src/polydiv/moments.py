@@ -15,6 +15,7 @@ With no small moments to lose there, the mean itself is carried forward,
 over a whole futures strip at once (:func:`futures_strip`).
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -22,6 +23,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import expm
 
+from ._blas import single_thread
 from .errors import DomainError, InvalidParameterError, NumericError
 from .generator import build_basis, build_generator, eval_basis
 from .model import require_admissible
@@ -48,12 +50,18 @@ def expm_apply(mat, dt, v):
     return out
 
 
-def _check_moment_args(name, count, t, T, T_name="T"):
-    """Reject a moment count that is not an integer >= 1, and T < t."""
+def _check_moment_args(name, count, t, **dates):
+    """Reject a moment count that is not an integer >= 1, a non-finite time,
+    and `dates` that do not follow t and each other in keyword order."""
     if not isinstance(count, numbers.Real) or not float(count).is_integer() or count < 1:
         raise InvalidParameterError(f"need an integer {name} >= 1, got {count!r}")
-    if T < t:
-        raise InvalidParameterError(f"need {T_name} >= t, got {T_name}={T} < t={t}")
+    times = list({"t": t, **dates}.items())
+    for key, value in times:
+        if not math.isfinite(value):
+            raise InvalidParameterError(f"need a finite {key}, got {key}={value}")
+    for (a, ta), (b, tb) in zip(times, times[1:]):
+        if tb < ta:
+            raise InvalidParameterError(f"need {b} >= {a}, got {b}={tb} < {a}={ta}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,10 +80,11 @@ class MomentSet:
         return float(self.values[self.basis.position(i, j, alpha)])
 
 
+@single_thread
 def conditional_moments(params, jump, state, t, T, n):
     """All mixed moments of (C_T, X_T, Y_T) up to total degree n, given time t:
     ``H_B(state) @ expm(B' (T - t))`` on each degree block B, one row each."""
-    _check_moment_args("n", n, t, T)
+    _check_moment_args("n", n, t, T=T)
     basis = build_basis(params.d, int(n))
     mat = build_generator(params, jump, basis).matrix
     h = eval_basis(basis, state)
@@ -170,17 +179,17 @@ def _power_moments(params, jump, state, dt, n, window=None):
     return out
 
 
+@single_thread
 def cumulative_dividend_moments(params, jump, state, t, T0, T1, n):
     """Raw moments M_1..M_n of the window dividends C_T1 - C_T0, given time t."""
-    _check_moment_args("n", n, t, T0, T_name="T0")
-    if T1 < T0:
-        raise InvalidParameterError(f"need T0 <= T1, got T1={T1} < T0={T0}")
+    _check_moment_args("n", n, t, T0=T0, T1=T1)
     return _power_moments(params, jump, state, T0 - t, int(n), window=T1 - T0)
 
 
+@single_thread
 def stock_price_moments(params, jump, state, t, T, n_moments):
     """Raw moments M_1..M_N of X_T, given time t."""
-    _check_moment_args("n_moments", n_moments, t, T)
+    _check_moment_args("n_moments", n_moments, t, T=T)
     return _power_moments(params, jump, state, T - t, int(n_moments))
 
 

@@ -4,7 +4,9 @@ import os
 
 import numpy as np
 import pytest
+import scipy
 
+from polydiv import _blas
 from polydiv.cli import parse_market_csv, parse_model_config, run
 from polydiv.errors import ConfigError, InadmissibleParamsError, MarketDataError
 from polydiv.maxent import OptionSpec, price_stock_option
@@ -340,6 +342,16 @@ class TestCommands:
         assert sorted(row) == ["dividend_futures", "id", "stock_futures",
                                "window_end", "window_start"]
         assert sorted(report) == ["command", "config", "meta", "payload"]
+
+    def test_meta_names_scipy_and_the_single_thread_blas_libraries(self, config_path, capsys):
+        code, report = run_json(
+            capsys, ["price", "option", "--config", config_path, "--underlying", "stock",
+                     "--expiry", "0.25", "--moments", "3"])
+        assert code == 0
+        assert report["meta"]["versions"]["scipy"] == scipy.__version__
+        held = report["meta"]["blas_single_thread"]
+        assert held == _blas.libraries()
+        assert all("openblas" in name for name in held)
 
     def test_report_round_trips_through_echoed_config(self, config_path, capsys, tmp_path):
         _, report = run_json(capsys, ["price", "futures", "--config", config_path])

@@ -123,6 +123,22 @@ class TestOptionSpec:
         with pytest.raises(InvalidParameterError):
             OptionSpec("swap", "stock", strike=1.0, expiry=1.0, rate=0.0)
 
+    @pytest.mark.parametrize("field,kwargs", [
+        ("strike", dict(strike=math.inf)),
+        ("strike", dict(strike=math.nan)),
+        ("expiry", dict(expiry=math.inf)),
+        ("expiry", dict(expiry=math.nan)),
+        ("rate", dict(rate=math.nan)),
+        ("rate", dict(rate=-math.inf)),
+        ("window", dict(underlying="dividend", window=(0.0, math.inf))),
+        ("window", dict(underlying="dividend", window=(math.nan, 1.0))),
+    ], ids=["inf_strike", "nan_strike", "inf_expiry", "nan_expiry", "nan_rate", "inf_rate",
+            "inf_window_end", "nan_window_start"])
+    def test_non_finite_field_rejected(self, field, kwargs):
+        spec = dict(kind="call", underlying="stock", strike=1.0, expiry=1.0, rate=0.0)
+        with pytest.raises(InvalidParameterError, match=rf"^{field}\b"):
+            OptionSpec(**{**spec, **kwargs})
+
 
 class TestStockOption:
     def test_deterministic_underlying(self):

@@ -386,6 +386,28 @@ def test_moment_arguments_rejected(params_a02, state0, call, name):
         call(params_a02, state0)
 
 
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda p, s: stock_price_moments(p, None, s, 0.0, NAN, 2), "T"),
+    (lambda p, s: stock_price_moments(p, None, s, 0.0, INF, 2), "T"),
+    (lambda p, s: stock_price_moments(p, None, s, -INF, 1.0, 2), "t"),
+    (lambda p, s: conditional_moments(p, None, s, 0.0, INF, 2), "T"),
+    (lambda p, s: conditional_moments(p, None, s, NAN, 1.0, 2), "t"),
+    (lambda p, s: cumulative_dividend_moments(p, None, s, 0.0, NAN, 2.0, 2), "T0"),
+    (lambda p, s: cumulative_dividend_moments(p, None, s, 0.0, 1.0, INF, 2), "T1"),
+    (lambda p, s: cumulative_dividend_moments(p, None, s, 0.0, 1.0, NAN, 2), "T1"),
+], ids=["stock-nan_T", "stock-inf_T", "stock-inf_t", "conditional-inf_T", "conditional-nan_t",
+        "dividend-nan_T0", "dividend-inf_T1", "dividend-nan_T1"])
+def test_non_finite_times_rejected_before_any_build(params_a02, state0, monkeypatch, call, name):
+    builds = []
+    monkeypatch.setattr(moments, "build_generator", lambda *a: builds.append(a))
+    with pytest.raises(InvalidParameterError, match=rf"finite {name}\b"):
+        call(params_a02, state0)
+    assert builds == []
+
 class TestPresentValue:
     def test_zero_horizon(self, params_a02, state0):
         pv = pv_dividends(params_a02, state0, 0.0)
