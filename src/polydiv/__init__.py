@@ -47,6 +47,7 @@ from .maxent import (
     fit_maxent,
     integrate_payoff,
     price_dividend_option,
+    price_option,
     price_stock_option,
 )
 from .mc import (

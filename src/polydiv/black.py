@@ -8,27 +8,7 @@ from scipy.special import ndtr
 from .errors import DomainError, InvalidParameterError
 
 
-def _lognormal_call(forward, strike, expiry, vol, discount):
-    if vol <= 0 or expiry <= 0:
-        return discount * max(forward - strike, 0.0)
-    s = vol * math.sqrt(expiry)
-    d1 = (math.log(forward / strike) + 0.5 * s * s) / s
-    d2 = d1 - s
-    return discount * (forward * ndtr(d1) - strike * ndtr(d2))
-
-
-def black_scholes_price(spot, strike, expiry, vol, rate, dividend_yield=0.0, kind="call"):
-    """Standard lognormal option price on a spot with continuous dividend yield."""
-    if spot <= 0 or strike <= 0:
-        raise InvalidParameterError("spot and strike must be positive")
-    discount = math.exp(-rate * expiry)
-    forward = spot * math.exp((rate - dividend_yield) * expiry)
-    call = _lognormal_call(forward, strike, expiry, vol, discount)
-    if kind == "call":
-        return call
-    if kind == "put":
-        return call - discount * (forward - strike)
-    raise InvalidParameterError(f"unknown option kind {kind!r}")
+VOL_CAP = 16.0     # implied_vol gives up above this volatility
 
 
 def black76_price(forward, strike, expiry, vol, rate, kind="call"):
@@ -36,7 +16,12 @@ def black76_price(forward, strike, expiry, vol, rate, kind="call"):
     if forward <= 0 or strike <= 0:
         raise InvalidParameterError("forward and strike must be positive")
     discount = math.exp(-rate * expiry)
-    call = _lognormal_call(forward, strike, expiry, vol, discount)
+    if vol <= 0 or expiry <= 0:
+        call = discount * max(forward - strike, 0.0)
+    else:
+        s = vol * math.sqrt(expiry)
+        d1 = (math.log(forward / strike) + 0.5 * s * s) / s
+        call = discount * (forward * ndtr(d1) - strike * ndtr(d1 - s))
     if kind == "call":
         return call
     if kind == "put":
@@ -44,8 +29,17 @@ def black76_price(forward, strike, expiry, vol, rate, kind="call"):
     raise InvalidParameterError(f"unknown option kind {kind!r}")
 
 
+def black_scholes_price(spot, strike, expiry, vol, rate, dividend_yield=0.0, kind="call"):
+    """Standard lognormal option price on a spot with continuous dividend yield:
+    Black-76 on the forward spot * exp((rate - dividend_yield) * expiry)."""
+    if spot <= 0 or strike <= 0:
+        raise InvalidParameterError("spot and strike must be positive")
+    forward = spot * math.exp((rate - dividend_yield) * expiry)
+    return black76_price(forward, strike, expiry, vol, rate, kind)
+
+
 def implied_vol(price, level, strike, expiry, rate, convention="black-scholes",
-                dividend_yield=0.0, kind="call", vol_cap=16.0):
+                dividend_yield=0.0, kind="call"):
     """Invert a lognormal price to its volatility by bracketed root solving.
 
     ``level`` is the spot (convention "black-scholes") or the forward
@@ -54,16 +48,13 @@ def implied_vol(price, level, strike, expiry, rate, convention="black-scholes",
     """
     if convention == "black-scholes":
         forward = level * math.exp((rate - dividend_yield) * expiry)
-
-        def price_at(v):
-            return black_scholes_price(level, strike, expiry, v, rate, dividend_yield, kind)
     elif convention == "black76":
         forward = level
-
-        def price_at(v):
-            return black76_price(level, strike, expiry, v, rate, kind)
     else:
         raise InvalidParameterError(f"unknown convention {convention!r}")
+
+    def price_at(v):
+        return black76_price(forward, strike, expiry, v, rate, kind)
 
     discount = math.exp(-rate * expiry)
     if kind == "call":
@@ -86,7 +77,7 @@ def implied_vol(price, level, strike, expiry, rate, convention="black-scholes",
     lo, hi = 1e-12, 0.5
     while price_at(hi) < price:
         hi *= 2.0
-        if hi > vol_cap:
-            raise DomainError(f"implied volatility exceeds cap {vol_cap}")
+        if hi > VOL_CAP:
+            raise DomainError(f"implied volatility exceeds cap {VOL_CAP}")
     vol = brentq(lambda v: price_at(v) - price, lo, hi, xtol=1e-14, rtol=8.9e-16)
     return float(vol)

@@ -23,7 +23,7 @@ from scipy.optimize import least_squares
 
 from .black import implied_vol
 from .errors import CalibrationError, InvalidParameterError, MarketDataError, PolydivError
-from .maxent import OptionSpec, _option_inputs, _price_from_moments, fit_fields
+from .maxent import OptionSpec, fit_fields, price_option
 # price_* and *_futures are kept for perfbench's tracer, which wraps them here
 from .maxent import price_dividend_option, price_stock_option  # noqa: F401
 from .model import ModelParams, State, validate_admissibility
@@ -216,9 +216,8 @@ def pricing_errors(params, d0, market, n_moments, start=None):
                                      abs_error=abs(model - quote), **(fit or {})))
 
     def price(spec):
-        value, density = _price_from_moments(
-            spec.kind, *_option_inputs(params, None, state, spec, n_moments),
-            start=None if start is None else start.get(spec.underlying))
+        value, density = price_option(params, None, state, spec, n_moments,
+                                      None if start is None else start.get(spec.underlying))
         if start is not None and density is not None:
             start[spec.underlying] = density
         return value, fit_fields(density, n_moments)

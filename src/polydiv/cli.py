@@ -48,7 +48,7 @@ from .errors import (
     NumericError,
     PolydivError,
 )
-from .maxent import OptionSpec, _option_inputs, _payoff_fn, _price_from_moments, fit_fields
+from .maxent import OptionSpec, fit_fields, option_payoff, price_option
 from .mc import SimConfig, martingale_diagnostic, mc_price, simulate_paths, yield_path_stats
 from .model import JumpSpec, ModelParams, PointMass, State, TwoPoint, validate_admissibility
 from .moments import conditional_moments, dividend_futures, futures_strip, stock_futures
@@ -325,8 +325,6 @@ def _cmd_price_option(args):
         spec = OptionSpec(kind=args.kind, underlying="stock", strike=strike,
                           expiry=expiry, rate=params.r)
         forward = stock_futures(params, jump, state, 0.0, expiry)
-        mc_underlying = "stock"
-        window = None
     else:
         if args.window is None:
             raise ConfigError("dividend option requires --window T0 T1")
@@ -336,19 +334,16 @@ def _cmd_price_option(args):
         expiry = args.expiry if args.expiry is not None else t1
         spec = OptionSpec(kind=args.kind, underlying="dividend", strike=strike,
                           expiry=expiry, rate=params.r, window=(t0, t1))
-        mc_underlying = (t0, t1)
-        window = (t0, t1)
 
-    # moments at the top count: their prefixes are the moments of every smaller count
-    raw, strike_on_raw, discount = _option_inputs(params, jump, state, spec, n_top)
     sweep = []
-    for n in range(2, n_top + 1):
-        price, density = _price_from_moments(spec.kind, raw[:n], strike_on_raw, discount)
+    # from a count below two, price_option rejects the first count
+    for n in range(min(n_top, 2), n_top + 1):
+        price, density = price_option(params, jump, state, spec, n)
         sweep.append({"n_moments": n, **fit_fields(density, n), "price": price})
     price = sweep[-1]["price"]
     payload = {
         "spec": {"kind": spec.kind, "underlying": spec.underlying, "strike": spec.strike,
-                 "expiry": spec.expiry, "rate": spec.rate, "window": window},
+                 "expiry": spec.expiry, "rate": spec.rate, "window": spec.window},
         "forward": forward,
         "price": price,
         "moment_sweep": sweep,
@@ -356,15 +351,15 @@ def _cmd_price_option(args):
     columns = list(sweep[0])
     csv_rows = [[row[c] for c in columns] for row in sweep]
     if args.mc:
-        horizon = expiry if args.underlying == "stock" else window[1]
+        window = spec.window
         cfg = SimConfig(
-            n_paths=args.paths, horizon=horizon, steps_per_year=args.steps_per_year,
-            seed=args.seed, windows=(window,) if window else (),
+            n_paths=args.paths, horizon=window[1] if window else spec.expiry,
+            steps_per_year=args.steps_per_year, seed=args.seed, windows=(window,) if window else (),
         )
         bundle = simulate_paths(params, jump, state, cfg)
-        est = mc_price(bundle, _payoff_fn(spec.kind, spec.strike),
+        est = mc_price(bundle, option_payoff(spec.kind, spec.strike),
                        math.exp(-params.r * spec.expiry), control="degree-one",
-                       underlying=mc_underlying)
+                       underlying=window or "stock")
         payload["mc"] = {
             "value": est.value, "std_error": est.std_error,
             "ci_low": est.ci_low, "ci_high": est.ci_high,

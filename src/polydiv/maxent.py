@@ -37,7 +37,6 @@ from numpy.polynomial.polynomial import polyval
 from scipy.special import roots_legendre
 
 from ._blas import single_thread
-from .black import black76_price, black_scholes_price, implied_vol  # noqa: F401  (re-export)
 from .errors import ConvergenceError, InfeasibleMomentsError, InvalidParameterError
 from .moments import cumulative_dividend_moments, stock_price_moments
 
@@ -391,8 +390,9 @@ class OptionSpec:
     """European option description.
 
     ``underlying`` is "stock" (payoff on X at expiry) or "dividend"
-    (payoff on dividends paid over ``window``); ``rate`` is the discount
-    rate applied to the payoff at expiry.
+    (payoff on dividends paid over ``window``, which ends at or before
+    ``expiry``); ``rate`` is the discount rate applied to the payoff at
+    expiry.
     """
 
     kind: str
@@ -418,16 +418,18 @@ class OptionSpec:
                 raise InvalidParameterError("dividend option needs a (T0, T1) window")
             if not all(map(math.isfinite, self.window)):
                 raise InvalidParameterError(f"window ends must be finite, got {self.window}")
+            if self.window[1] < self.window[0]:
+                raise InvalidParameterError(f"window must be ordered, got {self.window}")
+            if self.expiry < self.window[1]:
+                raise InvalidParameterError(
+                    f"expiry {self.expiry} is before the window end {self.window[1]}")
 
 
-def _payoff_fn(kind, strike):
+def option_payoff(kind, strike):
+    """The call or put payoff on an array of underlying values (a scalar too)."""
     if kind == "call":
         return lambda x: np.maximum(x - strike, 0.0)
     return lambda x: np.maximum(strike - x, 0.0)
-
-
-def _intrinsic(kind, level, strike):
-    return max(level - strike, 0.0) if kind == "call" else max(strike - level, 0.0)
 
 
 def _memo(memo, key, compute):
@@ -448,35 +450,6 @@ def _memo(memo, key, compute):
     if isinstance(value, ConvergenceError):
         raise ConvergenceError(*value.args)
     return value
-
-
-def _price_from_moments(kind, raw_moments, strike, discount, start=None):
-    """Discounted payoff integral against the maxent fit of M_1..M_N.
-
-    Returns the price and the fitted density, whose ``moments`` show the
-    count used; degenerate underlyings (variance within rounding of zero)
-    price the point mass directly and return ``None`` for it.  If the full
-    moment count is numerically unfittable (densities extremely
-    concentrated relative to their mean), the fit falls back to fewer
-    moments, never below two.  ``start`` (a density or ``None``) seeds the
-    fit of its own moment count, outside the memo; other counts fit cold.
-    """
-    m1, m2 = raw_moments[:2]
-    if m1 <= 0 or m2 - m1 ** 2 <= 64 * np.finfo(float).eps * m2:
-        return discount * _intrinsic(kind, max(m1, 0.0), strike), None
-    for count in range(len(raw_moments), 1, -1):
-        m = np.concatenate(([1.0], raw_moments[:count]))
-        try:
-            if start is not None and start.moments.size == m.size:
-                density = fit_maxent(m, start=start)
-            else:
-                density = _memo(_FIT_MEMO, m.tobytes(), lambda: fit_maxent(m))
-            break
-        except ConvergenceError:
-            if count == 2:
-                raise
-    value = integrate_payoff(density, _payoff_fn(kind, strike), points=(strike,))
-    return discount * value, density
 
 
 def fit_fields(density, n_moments):
@@ -521,8 +494,6 @@ def _option_inputs(params, jump, state, spec, n_moments):
         span, moment_fn = (spec.expiry,), stock_price_moments
     else:
         t0, t1 = spec.window
-        if t1 < t0:
-            raise InvalidParameterError(f"window must be ordered, got {spec.window}")
         if t1 == t0:
             return np.zeros(n_moments), strike, discount
         span, moment_fn = (max(t0, 0.0), t1), cumulative_dividend_moments
@@ -538,16 +509,46 @@ def _option_inputs(params, jump, state, spec, n_moments):
 
 
 @single_thread
+def price_option(params, jump, state, spec, n_moments, start=None):
+    """Price ``spec`` by moment matching with ``n_moments`` moments.
+
+    Returns the discounted payoff integral against the maxent fit of the
+    underlying's moments and that fit, whose ``moments`` show the count
+    used; degenerate underlyings (variance within rounding of zero) price
+    the point mass directly and return ``None`` for it.  If the full moment
+    count is numerically unfittable (densities extremely concentrated
+    relative to their mean), the fit falls back to fewer moments, never
+    below two.  ``start`` (a density or ``None``) seeds the fit of its own
+    moment count, outside the memo; other counts fit cold.
+    """
+    raw_moments, strike, discount = _option_inputs(params, jump, state, spec, n_moments)
+    payoff = option_payoff(spec.kind, strike)
+    m1, m2 = raw_moments[:2]
+    if m1 <= 0 or m2 - m1 ** 2 <= 64 * np.finfo(float).eps * m2:
+        return discount * float(payoff(max(m1, 0.0))), None
+    for count in range(len(raw_moments), 1, -1):
+        m = np.concatenate(([1.0], raw_moments[:count]))
+        try:
+            if start is not None and start.moments.size == m.size:
+                density = fit_maxent(m, start=start)
+            else:
+                density = _memo(_FIT_MEMO, m.tobytes(), lambda: fit_maxent(m))
+            break
+        except ConvergenceError:
+            if count == 2:
+                raise
+    return discount * integrate_payoff(density, payoff, points=(strike,)), density
+
+
 def price_stock_option(params, jump, state, spec, n_moments):
     """Price a stock option by moment matching with ``n_moments`` moments."""
     if spec.underlying != "stock":
         raise InvalidParameterError("spec.underlying must be 'stock'")
-    return _price_from_moments(spec.kind, *_option_inputs(params, jump, state, spec, n_moments))[0]
+    return price_option(params, jump, state, spec, n_moments)[0]
 
 
-@single_thread
 def price_dividend_option(params, jump, state, spec, n_moments):
-    """Price an option on dividends paid over spec.window, expiring at T1."""
+    """Price an option on dividends paid over spec.window."""
     if spec.underlying != "dividend":
         raise InvalidParameterError("spec.underlying must be 'dividend'")
-    return _price_from_moments(spec.kind, *_option_inputs(params, jump, state, spec, n_moments))[0]
+    return price_option(params, jump, state, spec, n_moments)[0]

@@ -97,6 +97,10 @@ class TestImpliedVol:
         p1 = black_scholes_price(1.0, 1.0, 0.25, 0.23, 0.01, q)
         p2 = black76_price(fwd, 1.0, 0.25, 0.23, 0.01)
         assert p1 == pytest.approx(p2, rel=1e-12)
+        # exactly Black-76 on the forward the yield implies
+        for kind in ("call", "put"):
+            assert black_scholes_price(1.0, 1.0, 0.25, 0.23, 0.01, q, kind) == \
+                black76_price(1.0 * math.exp((0.01 - q) * 0.25), 1.0, 0.25, 0.23, 0.01, kind)
 
 
 def test_cli_import_leaves_out_scipy_stats():

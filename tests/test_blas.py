@@ -80,6 +80,19 @@ def test_count_is_one_inside_priced_calls_and_restored_after(monkeypatch, cold_m
 
 
 @requires_blas
+def test_count_is_one_inside_price_option(monkeypatch, cold_memo):
+    seen = []
+    integrate = maxent.integrate_payoff
+    monkeypatch.setattr(maxent, "integrate_payoff",
+                        lambda *args, **kw: seen.append(counts()) or integrate(*args, **kw))
+    p, st = reference_params(), reference_state()
+    with caller_count(2) as caller:
+        maxent.price_option(p, None, st, _stock_spec(p), 4)
+        assert counts() == caller
+    assert seen == [[1] * len(caller)]
+
+
+@requires_blas
 def test_count_restored_after_an_exception(monkeypatch):
     inside = []
 

@@ -191,10 +191,9 @@ class TestSnapshotFitPricing:
         market, res = snapshot_fit
         spec = maxent.OptionSpec(kind="call", underlying="stock", strike=1.0,
                                  expiry=market.stock_iv.expiry, rate=res.params.r)
-        raw, strike, discount = maxent._option_inputs(
-            res.params, None, State(0.0, 1.0, [res.d0]), spec, 6)
-        fits = {n: maxent._price_from_moments("call", raw[:n], strike, discount)[1]
-                for n in (5, 6)}
+        state = State(0.0, 1.0, [res.d0])
+        raw = maxent._option_inputs(res.params, None, state, spec, 6)[0]
+        fits = {n: maxent.price_option(res.params, None, state, spec, n)[1] for n in (5, 6)}
         fields = {n: maxent.fit_fields(fits[n], n) for n in fits}
         # N = 6 decays past the cut; N = 5 rises toward it and exists only
         # because of it, with the pdf at the cut e^-13.8 of the pdf at M_1

@@ -286,6 +286,16 @@ class TestCommands:
         assert [s["price"] for s in sweep] == \
             [price_stock_option(params, jump, state, spec, n) for n in range(2, 7)]
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--underlying", "dividend", "--window", "0", "1", "--expiry", "0.25"], "window end"),
+        (["--moments", "1"], "two moments"),
+    ], ids=["expiry_before_window_end", "one_moment"])
+    def test_malformed_option_request_exits_two(self, config_path, capsys, flags, message):
+        code = run(["price", "option", "--config", config_path, *flags])
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert code == 2
+        assert err["type"] == "InvalidParameterError" and message in err["message"]
+
     def test_moments_dump(self, config_path, capsys):
         code, report = run_json(
             capsys, ["moments", "--config", config_path, "--T", "1.0", "--n", "2"])

@@ -11,7 +11,9 @@ from polydiv.maxent import (
     OptionSpec,
     fit_maxent,
     integrate_payoff,
+    option_payoff,
     price_dividend_option,
+    price_option,
     price_stock_option,
 )
 from polydiv.model import JumpSpec, ModelParams, State, TwoPoint
@@ -138,6 +140,20 @@ class TestOptionSpec:
         spec = dict(kind="call", underlying="stock", strike=1.0, expiry=1.0, rate=0.0)
         with pytest.raises(InvalidParameterError, match=rf"^{field}\b"):
             OptionSpec(**{**spec, **kwargs})
+
+    @pytest.mark.parametrize("window,expiry,message", [
+        ((0.0, 1.0), 0.25, "expiry 0.25 is before the window end 1.0"),
+        ((0.5, 2.0), 1.0, "expiry 1.0 is before the window end 2.0"),
+        ((1.0, 0.5), 1.0, "window must be ordered"),
+    ], ids=["expiry_inside_window", "expiry_before_window_end", "unordered_window"])
+    def test_dividend_window_must_be_ordered_and_end_by_expiry(self, window, expiry, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            OptionSpec("call", "dividend", strike=0.03, expiry=expiry, rate=0.0, window=window)
+
+    @pytest.mark.parametrize("window,expiry", [((0.0, 1.0), 1.0), ((0.0, 1.0), 1.5),
+                                               ((-0.5, 0.5), 0.5), ((1.0, 1.0), 1.0)])
+    def test_dividend_window_ending_by_expiry_accepted(self, window, expiry):
+        assert OptionSpec("call", "dividend", 0.03, expiry, 0.0, window).window == window
 
 
 class TestStockOption:
@@ -362,6 +378,43 @@ class TestRepeatedPrices:
         assert len(fits) == len(set(fits)) == 5
         assert len(failed) == (2 if underlying == "stock" else 0)
 
+    def test_a_repeated_surface_makes_the_same_calls(self, monkeypatch):
+        # a benchmark that runs one surface several times requires identical
+        # build, exponential and fit counts on every run of it; a memo that
+        # held a whole surface would serve the second run from the first
+        p = reference_params(0.2)
+
+        def surface(st):
+            for T in (1.0, 2.0, 3.0):
+                for underlying, window, forward in (("stock", None, st.x),
+                                                    ("dividend", (T - 1.0, T), st.y[0])):
+                    for k in (0.9, 0.95, 1.0, 1.05, 1.1):
+                        spec = OptionSpec("call", underlying, k * forward, T, p.r, window)
+                        for n in range(2, 7):
+                            _price(p, None, st, spec, n)
+
+        counts = dict.fromkeys(("builds", "exponentials", "fits"), 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        st, moved = reference_state(), State(c=0.0, x=1.1, y=[0.04])
+        surface(st)
+        monkeypatch.setattr(polydiv.moments, "build_generator",
+                            counted("builds", polydiv.moments.build_generator))
+        monkeypatch.setattr(polydiv.moments, "expm", counted("exponentials", polydiv.moments.expm))
+        monkeypatch.setattr(maxent, "fit_maxent", counted("fits", maxent.fit_maxent))
+        runs = []
+        for state in (st, moved, st):
+            counts.update(dict.fromkeys(counts, 0))
+            surface(state)
+            runs.append(dict(counts))
+        assert runs[0] == runs[2]
+        assert min(runs[0].values()) > 0
+
     def test_non_convergence_is_remembered_and_raised_again(self, monkeypatch):
         calls = []
 
@@ -462,7 +515,7 @@ class TestStartedFit:
     def test_price_passes_a_start_of_its_own_count_only(self, monkeypatch):
         p, st = reference_params(0.2), reference_state()
         spec = OptionSpec("call", "stock", 1.0, 0.25, p.r)
-        raw, strike, discount = maxent._option_inputs(p, None, st, spec, 6)
+        raw = maxent._option_inputs(p, None, st, spec, 6)[0]
         near = fit_maxent(np.concatenate(([1.0], raw * (1.0 + 1e-7) ** np.arange(1, 7))))
         calls = []
         fit = maxent.fit_maxent
@@ -472,14 +525,44 @@ class TestStartedFit:
             return fit(m, start=start)
 
         monkeypatch.setattr(maxent, "fit_maxent", recorded)
-        cold_price, cold = maxent._price_from_moments("call", raw, strike, discount)
+        cold_price, cold = price_option(p, None, st, spec, 6)
         # a started fit neither reads nor fills the memo
-        price, density = maxent._price_from_moments("call", raw, strike, discount, start=near)
+        price, density = price_option(p, None, st, spec, 6, start=near)
         assert calls == [None, near] and density is not cold
         assert list(maxent._FIT_MEMO.values()) == [cold]
         assert abs(price - cold_price) <= 1e-9
         # a start with another count leaves the fit cold, through the memo
         fewer = fit_maxent(np.concatenate(([1.0], raw[:5])))
-        assert maxent._price_from_moments("call", raw, strike, discount, start=fewer) == \
-            (cold_price, cold)
+        assert price_option(p, None, st, spec, 6, start=fewer) == (cold_price, cold)
         assert calls == [None, near]
+
+
+class TestPriceOption:
+    """One routine prices every maxent option: moments, fit, payoff integral."""
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        _clear_memo()
+        yield
+        _clear_memo()
+
+    @pytest.mark.parametrize("kind", ["call", "put"])
+    @pytest.mark.parametrize("window", [None, (-0.5, 1.0), (0.5, 1.0)],
+                             ids=["stock", "started_window", "window"])
+    def test_is_the_composition_of_its_steps(self, kind, window):
+        p, st = reference_params(0.2), State(c=0.01, x=1.0, y=[0.0371])
+        spec = OptionSpec(kind, "stock" if window is None else "dividend",
+                          1.0 if window is None else 0.03, 1.0, p.r, window)
+        price, density = price_option(p, None, st, spec, 6)
+        raw, strike, discount = maxent._option_inputs(p, None, st, spec, 6)
+        assert strike == spec.strike - (st.c if window == (-0.5, 1.0) else 0.0)
+        cold = fit_maxent(np.concatenate(([1.0], raw)))
+        np.testing.assert_array_equal(density.lambdas, cold.lambdas)
+        assert price == discount * integrate_payoff(cold, option_payoff(kind, strike),
+                                                    points=(strike,))
+
+    @pytest.mark.parametrize("kind,payoff", [("call", 0.0), ("put", 0.03)])
+    def test_zero_length_window_prices_the_point_mass(self, kind, payoff):
+        p, st = reference_params(0.2), reference_state()
+        spec = OptionSpec(kind, "dividend", 0.03, 1.0, p.r, (1.0, 1.0))
+        assert price_option(p, None, st, spec, 6) == (math.exp(-p.r) * payoff, None)
