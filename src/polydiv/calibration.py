@@ -10,8 +10,8 @@ method with finite-difference Jacobians.  It runs in the coordinates
 (b, q, sigma, nu1, D0), where q = r - a - b/a - beta is the slack of the
 d = 1 cap inequality, so admissibility is the box b >= 0, q > 0,
 sigma, nu1 >= 0, 0 <= D0 <= a and every trial point is admissible.
-:func:`objective` is the reported score: the same weighted sum of squares
-plus a penalty that keeps it finite outside that box.
+:func:`objective` is the reported score: the sum of squares of the same
+residuals, defined on that box alone.
 """
 
 import math
@@ -22,14 +22,13 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .black import implied_vol
-from .errors import CalibrationError, InvalidParameterError, MarketDataError, PolydivError
+from .errors import (CalibrationError, DomainError, InvalidParameterError, MarketDataError,
+                     PolydivError)
 from .maxent import OptionSpec, fit_fields, price_option
 # price_* and *_futures are kept for perfbench's tracer, which wraps them here
 from .maxent import price_dividend_option, price_stock_option  # noqa: F401
-from .model import ModelParams, State, validate_admissibility
+from .model import ModelParams, State, require_admissible, validate_admissibility
 from .moments import dividend_futures, futures_strip, stock_futures  # noqa: F401
-
-PENALTY_WEIGHT = 1e6
 
 FREE_NAMES = ("b", "q", "sigma", "nu1", "d0")
 # Relative finite-difference step.  Near the snapshot fit the dividend IV
@@ -189,12 +188,11 @@ class CalibResult:
 
 
 def params_from_vector(vec, config):
-    """Map a free-parameter vector (b, beta, sigma, nu1, D0) to model inputs."""
+    """Map (b, beta, sigma, nu1, D0) to model inputs; D0 outside [0, a] raises DomainError."""
     b, beta, sigma, nu, d0 = (float(v) for v in vec)
-    params = ModelParams.single_factor(
-        r=config.r, a=config.a, sigma=max(sigma, 0.0), b=b, beta=beta, nu=max(nu, 0.0)
-    )
-    return params, d0
+    if not 0.0 <= d0 <= config.a:
+        raise DomainError(f"D0 must lie in [0, a] = [0, {config.a:g}], got {d0}")
+    return ModelParams.single_factor(r=config.r, a=config.a, sigma=sigma, b=b, beta=beta, nu=nu), d0
 
 
 def pricing_errors(params, d0, market, n_moments, start=None):
@@ -254,46 +252,37 @@ def pricing_errors(params, d0, market, n_moments, start=None):
     return tuple(rows)
 
 
-def _penalty(params, d0):
-    """Smooth quadratic penalty on violated admissibility/structure constraints."""
-    report = validate_admissibility(params)
-    viol = 0.0
-    for s in np.atleast_1d(report.factor_slack):
-        viol += max(0.0, -s) ** 2
-    viol += max(0.0, -report.cap_slack) ** 2
-    viol += max(0.0, -d0) ** 2 + max(0.0, d0 - params.a) ** 2
-    return PENALTY_WEIGHT * viol
-
-
 def objective(param_vector, market, config):
-    """Penalized weighted least-squares objective; finite everywhere."""
-    try:
-        params, d0 = params_from_vector(param_vector, config)
-    except InvalidParameterError:
-        return 1e15
-    pen = _penalty(params, d0)
-    # negative raw sigma/nu are clamped for pricing; steer them back smoothly
-    raw_sigma, raw_nu = float(param_vector[2]), float(param_vector[3])
-    pen += PENALTY_WEIGHT * (max(0.0, -raw_sigma) ** 2 + max(0.0, -raw_nu) ** 2)
-    try:
-        rows = pricing_errors(params, d0, market, config.n_moments)
-    except PolydivError:
-        return 1e12 * (1.0 + pen / PENALTY_WEIGHT)
-    return float(pen + _misfit(rows, config))
+    """Weighted sum of squared residuals at an admissible (b, beta, sigma, nu1, D0).
+
+    Outside the box it raises the error naming the violation: a drift
+    inequality, sigma or nu1 < 0, or D0 outside [0, a].
+    """
+    params, d0 = params_from_vector(param_vector, config)
+    require_admissible(params)
+    return _misfit(pricing_errors(params, d0, market, config.n_moments), config)
 
 
-def _weight(kind, config):
-    return 1.0 if kind == "futures" else config.weight_iv
+def _residuals(rows, config):
+    """The weighted residuals sqrt(w) * (model - market) of `rows`, w = 1 for
+    a futures price and ``config.weight_iv`` for an implied vol."""
+    iv = math.sqrt(config.weight_iv)
+    return np.array([(1.0 if row.kind == "futures" else iv) * (row.model - row.market)
+                     for row in rows])
 
 
 def _misfit(rows, config):
-    return sum(_weight(row.kind, config) * row.abs_error ** 2 for row in rows)
+    return float(sum(r * r for r in _residuals(rows, config)))
 
 
 def _vector_from_free(z, config):
     """(b, q, sigma, nu1, D0) -> (b, beta, sigma, nu1, D0), as beta = r - a - b/a - q."""
     b, q, sigma, nu, d0 = z
     return np.array([b, config.r - config.a - b / config.a - q, sigma, nu, d0])
+
+
+def _params_from_free(z, config):
+    return params_from_vector(_vector_from_free(z, config), config)
 
 
 def _fit_stage(z, names, market, kinds, config, budget):
@@ -307,7 +296,8 @@ def _fit_stage(z, names, market, kinds, config, budget):
 
     Every trial point lies next to one already priced, so each maxent fit
     starts from the stage's last density on its underlying; the first
-    evaluation fits cold.
+    evaluation fits cold.  Each later point that cannot be priced gets
+    residuals of 1e6, counted in ``unpriced``.
     """
     started = time.perf_counter()
     idx = [FREE_NAMES.index(n) for n in names]
@@ -315,21 +305,24 @@ def _fit_stage(z, names, market, kinds, config, budget):
     fitted = []
     start = {}
     iterations = []
+    unpriced = 0
 
     def residuals(v):
+        nonlocal unpriced
         z[idx] = v
-        params, d0 = params_from_vector(_vector_from_free(z, config), config)
+        params, d0 = _params_from_free(z, config)
         try:
             rows = pricing_errors(params, d0, market, config.n_moments, start)
         except PolydivError:
             if not fitted:
                 raise
+            unpriced += 1
             return np.full(len(fitted), 1e6)      # unpriceable: a large, finite misfit
         iterations.extend(row.newton_iterations for row in rows
                           if row.newton_iterations is not None)
         rows = [row for row in rows if row.kind in kinds]
         fitted[:] = [row.id for row in rows]
-        return np.array([math.sqrt(_weight(r.kind, config)) * (r.model - r.market) for r in rows])
+        return _residuals(rows, config)
 
     sol = least_squares(
         residuals, np.clip(z[idx], lower, upper), bounds=(lower, upper), method="trf",
@@ -339,7 +332,8 @@ def _fit_stage(z, names, market, kinds, config, budget):
     return {"parameters": list(names), "residuals": fitted, "method": "trf",
             "nfev": int(sol.nfev + len(idx) * sol.njev), "status": int(sol.status),
             "message": str(sol.message), "maxent_fits": len(iterations),
-            "newton_iterations": sum(iterations), "seconds": time.perf_counter() - started}
+            "newton_iterations": sum(iterations), "unpriced": unpriced,
+            "seconds": time.perf_counter() - started}
 
 
 def calibrate(market, config):
@@ -384,20 +378,18 @@ def calibrate(market, config):
         "stages": records,
     }
 
-    x_best = _vector_from_free(z, config)
-    params, d0 = params_from_vector(x_best, config)
+    params, d0 = _params_from_free(z, config)
     report = validate_admissibility(params)
-    if not (report.admissible and 0.0 <= d0 <= config.a):
+    if not report.admissible:
         raise CalibrationError(
-            f"optimizer converged to an inadmissible point {x_best.tolist()} "
+            f"optimizer converged to an inadmissible point {dict(zip(FREE_NAMES, z.tolist()))} "
             f"(factor slack {report.factor_slack}, cap slack {report.cap_slack:.3g}); "
             f"trace: {trace}"
         )
     rows = pricing_errors(params, d0, market, config.n_moments)
     # a parameter that no stage fitted sits at its start value
     fitted = {name for rec in records for name in rec["parameters"]}
-    # inside the box the penalty of `objective` is exactly 0
     return CalibResult(params=params, d0=float(d0), instruments=rows,
-                       objective=float(_misfit(rows, config)), trace=trace,
+                       objective=_misfit(rows, config), trace=trace,
                        admissibility=report,
                        underdetermined=market.n_instruments < 5 or fitted != set(FREE_NAMES))

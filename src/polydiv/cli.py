@@ -96,7 +96,7 @@ def parse_model_config(path, require_admissible=True):
     try:
         params = ModelParams(
             r=float(raw["r"]), a=float(raw["a"]), sigma=float(raw["sigma"]),
-            d=int(raw["d"]), b=raw["b"], beta=raw["beta"], nu=raw["nu"],
+            d=raw["d"], b=raw["b"], beta=raw["beta"], nu=raw["nu"],
         )
     except (TypeError, ValueError, InvalidParameterError) as exc:
         raise ConfigError(f"invalid model parameters: {exc}")
@@ -320,6 +320,8 @@ def _cmd_price_option(args):
     params, jump, state, echo = parse_model_config(args.config)
     n_top = args.moments
     if args.underlying == "stock":
+        if args.window is not None:
+            raise InvalidParameterError("--window applies to a dividend option only")
         expiry = args.expiry if args.expiry is not None else 0.25
         strike = args.strike if args.strike is not None else state.x
         spec = OptionSpec(kind=args.kind, underlying="stock", strike=strike,

@@ -45,6 +45,9 @@ class SimConfig:
         if self.store_policy not in ("terminal", "full"):
             raise InvalidParameterError(f"unknown store policy {self.store_policy!r}")
         object.__setattr__(self, "windows", tuple((float(a), float(b)) for a, b in self.windows))
+        for t0, t1 in self.windows:
+            if not t0 <= t1 <= self.horizon:
+                raise InvalidParameterError(f"window {t0:g}..{t1:g} needs t0 <= t1 <= horizon")
 
 
 @dataclass(eq=False)

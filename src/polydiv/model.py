@@ -54,6 +54,7 @@ class ModelParams:
         object.__setattr__(self, "beta", np.atleast_2d(np.asarray(self.beta, dtype=float)))
         object.__setattr__(self, "nu", np.atleast_1d(np.asarray(self.nu, dtype=float)))
         _check_structure(self)
+        object.__setattr__(self, "d", int(self.d))
 
     @classmethod
     def single_factor(cls, r, a, sigma, b, beta, nu):
@@ -201,8 +202,8 @@ def validate_admissibility(params):
     """Evaluate the inward-drift inequalities and boundary non-attainment flags.
 
     Returns an :class:`AdmissibilityReport` carrying the slack of each
-    inequality (not just flags) so calibration penalties can be built from
-    them.  Raises :class:`InvalidParameterError` on structural violations.
+    inequality (not just flags), so a report shows how far each one holds.
+    Raises :class:`InvalidParameterError` on structural violations.
     """
     _check_structure(params)
     d, a, r = params.d, params.a, params.r

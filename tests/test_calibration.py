@@ -2,6 +2,7 @@ import math
 import os
 from collections import OrderedDict
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from polydiv.calibration import (
     pricing_errors,
 )
 from polydiv.cli import parse_market_csv
-from polydiv.errors import InvalidParameterError, MarketDataError
+from polydiv.errors import (DomainError, InadmissibleParamsError, InvalidParameterError,
+                            MarketDataError, NumericError)
 from polydiv.model import ModelParams, State
 from polydiv.moments import dividend_futures
 
@@ -215,19 +217,38 @@ class TestObjective:
         val = objective([0.0103, -0.3439, 0.2813, 0.0194, REFERENCE_D0], market, cfg)
         assert val < 1e-10
 
-    def test_penalty_for_negative_b(self):
-        market = synthetic_market(include_ivs=False)
-        cfg = CalibConfig()
-        val = objective([-0.02, -0.3439, 0.2813, 0.0194, REFERENCE_D0], market, cfg)
-        assert val >= 1e6 * 0.02 ** 2
+    @pytest.mark.parametrize("coordinate,value,error", [
+        (0, -0.02, InadmissibleParamsError),    # b < 0: the factor drift inequality
+        (1, -0.2, InadmissibleParamsError),     # q < 0: the yield-cap drift inequality
+        (2, -0.01, InvalidParameterError),      # sigma < 0
+        (3, -0.01, InvalidParameterError),      # nu1 < 0
+        (4, -0.01, DomainError),                # D0 < 0
+        (4, 0.25, DomainError),                 # D0 > a
+    ], ids=["b", "q", "sigma", "nu1", "d0_below", "d0_above"])
+    def test_outside_the_box_raises_the_named_error(self, coordinate, value, error):
+        vec = [0.011, -0.36, 0.27, 0.021, 0.038]
+        vec[coordinate] = value
+        with pytest.raises(error):
+            objective(vec, synthetic_market(), CalibConfig())
 
-    def test_finite_everywhere(self):
-        market = synthetic_market()
-        cfg = CalibConfig()
-        rng = np.random.default_rng(0)
-        for _ in range(30):
-            vec = rng.uniform([-0.05, -1.0, -0.5, -0.1, -0.1], [0.1, 0.5, 1.0, 0.2, 0.3])
-            assert np.isfinite(objective(vec, market, cfg))
+    def test_sum_of_squares_of_the_fit_residuals(self, monkeypatch):
+        # at random interior points, objective() is the sum of squares of the
+        # residual vector the joint fit sees, and the reported objective
+        market, cfg = synthetic_market(), CalibConfig()
+        points = np.random.default_rng(5).uniform(
+            [0.0, 1e-3, 0.15, 0.005, 0.02], [0.03, 0.1, 0.45, 0.04, 0.06], size=(5, 5))
+        for z in points:
+            seen = []
+
+            def one_evaluation(fun, x0, **kwargs):
+                seen.append(fun(z))
+                return SimpleNamespace(x=z, nfev=1, njev=0, status=1, message="one call")
+
+            monkeypatch.setattr(calibration, "least_squares", one_evaluation)
+            res = calibrate(market, cfg)
+            p = res.params
+            value = objective([p.b[0], p.beta[0, 0], p.sigma, p.nu[0], res.d0], market, cfg)
+            assert value == sum(r * r for r in seen[0]) == res.objective
 
     def test_instrument_order_invariance(self):
         market = synthetic_market()
@@ -404,7 +425,9 @@ class TestCalibrate:
         assert stages[1]["residuals"] == ["IVSTOCK", "IVDIV"]
         for s in stages:
             assert sorted(s) == ["maxent_fits", "message", "method", "newton_iterations",
-                                 "nfev", "parameters", "residuals", "seconds", "status"]
+                                 "nfev", "parameters", "residuals", "seconds", "status",
+                                 "unpriced"]
+            assert s["unpriced"] == 0
             assert s["method"] == "trf" and s["seconds"] > 0.0
         # futures need no maxent fit; every stage-2 evaluation fits both options
         assert (stages[0]["maxent_fits"], stages[0]["newton_iterations"]) == (0, 0)
@@ -412,3 +435,20 @@ class TestCalibrate:
         assert stages[1]["newton_iterations"] >= stages[1]["maxent_fits"]
         assert res.trace["nfev"] == sum(s["nfev"] for s in stages)
         assert res.trace["converged"] == all(s["status"] > 0 for s in stages)
+
+    def test_unpriced_evaluations_are_counted(self, monkeypatch):
+        # the second residual call fails to price: it gets the 1e6 misfit,
+        # the fit goes on, and the stage record counts it
+        calls = []
+        original = calibration.pricing_errors
+
+        def fails_once(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise NumericError("unpriceable trial point")
+            return original(*args)
+
+        monkeypatch.setattr(calibration, "pricing_errors", fails_once)
+        market = synthetic_market(include_ivs=False, n_futures=4)
+        res = calibrate(market, CalibConfig(max_evals=600))
+        assert [s["unpriced"] for s in res.trace["stages"]] == [1]

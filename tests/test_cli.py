@@ -289,7 +289,8 @@ class TestCommands:
     @pytest.mark.parametrize("flags,message", [
         (["--underlying", "dividend", "--window", "0", "1", "--expiry", "0.25"], "window end"),
         (["--moments", "1"], "two moments"),
-    ], ids=["expiry_before_window_end", "one_moment"])
+        (["--underlying", "stock", "--window", "0", "1"], "dividend option only"),
+    ], ids=["expiry_before_window_end", "one_moment", "stock_with_window"])
     def test_malformed_option_request_exits_two(self, config_path, capsys, flags, message):
         code = run(["price", "option", "--config", config_path, *flags])
         err = json.loads(capsys.readouterr().err)["error"]
@@ -315,6 +316,21 @@ class TestCommands:
         assert 0.0 <= ys["min"] and ys["max"] <= 0.2
         assert os.path.exists(os.path.join(out, "yield_paths.csv"))
         assert os.path.exists(os.path.join(out, "report.json"))
+
+    @pytest.mark.parametrize("window", [("0", "2"), ("0.8", "0.2")],
+                             ids=["past_horizon", "unordered"])
+    def test_simulate_window_outside_horizon_exits_two(self, config_path, capsys, window):
+        code = run(["simulate", "--config", config_path, "--horizon", "1", "--paths", "100",
+                    "--window", *window])
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert code == 2
+        assert err["type"] == "InvalidParameterError" and "t0 <= t1 <= horizon" in err["message"]
+
+    def test_non_integer_factor_count_exits_three(self, tmp_path, capsys):
+        code = run(["validate", "--config", write_config(tmp_path, d=1.5)])
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert code == 3
+        assert err["type"] == "ConfigError" and "positive integer, got 1.5" in err["message"]
 
     def test_invalid_thread_count_exit_code(self, config_path, capsys, monkeypatch):
         monkeypatch.setenv("POLYDIV_THREADS", "two")

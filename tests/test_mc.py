@@ -27,6 +27,15 @@ class TestSimConfig:
         with pytest.raises(InvalidParameterError):
             SimConfig(n_paths=10, horizon=1.0, store_policy="everything")
 
+    @pytest.mark.parametrize("window", [(0.0, 2.0), (0.8, 0.2), (-0.5, 1.5)])
+    def test_window_outside_the_horizon_rejected(self, window):
+        with pytest.raises(InvalidParameterError, match="t0 <= t1 <= horizon"):
+            SimConfig(n_paths=10, horizon=1.0, windows=(window,))
+
+    def test_started_and_full_horizon_windows_accepted(self):
+        cfg = SimConfig(n_paths=10, horizon=1.0, windows=((-0.5, 1.0), (0.0, 1.0), (0.5, 0.5)))
+        assert cfg.windows == ((-0.5, 1.0), (0.0, 1.0), (0.5, 0.5))
+
 
 class TestSimulatePaths:
     def test_deterministic_limit(self):
