@@ -2,7 +2,6 @@
 
 import math
 
-from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from .errors import DomainError, InvalidParameterError
@@ -73,6 +72,9 @@ def implied_vol(price, level, strike, expiry, rate, convention="black-scholes",
         )
     if price <= intrinsic + slack:
         return 0.0
+
+    # imported on first use: scipy.optimize is about a third of a cold start
+    from scipy.optimize import brentq
 
     lo, hi = 1e-12, 0.5
     while price_at(hi) < price:

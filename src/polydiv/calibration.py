@@ -19,7 +19,6 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .black import implied_vol
 from .errors import (CalibrationError, DomainError, InvalidParameterError, MarketDataError,
@@ -299,6 +298,8 @@ def _fit_stage(z, names, market, kinds, config, budget):
     evaluation fits cold.  Each later point that cannot be priced gets
     residuals of 1e6, counted in ``unpriced``.
     """
+    from scipy.optimize import least_squares  # here, to keep it off the import path
+
     started = time.perf_counter()
     idx = [FREE_NAMES.index(n) for n in names]
     lower, upper = np.array([[0.0, Q_FLOOR, 0.0, 0.0, 0.0], [np.inf] * 4 + [config.a]])[:, idx]

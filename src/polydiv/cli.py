@@ -220,15 +220,10 @@ def parse_market_csv(path, spot=None, valuation_date=None):
         if not match:
             raise MarketDataError(f"row {row_no}: dividend IV window matches no futures quote")
         dividend_iv = DividendIvQuote(iv=quote, futures_id=match[0].id)
-    try:
-        return MarketData(
-            valuation_date=str(valuation_date), spot=spot,
-            futures=tuple(futures), stock_iv=stock_iv, dividend_iv=dividend_iv,
-        )
-    except MarketDataError:
-        raise
-    except PolydivError as exc:
-        raise MarketDataError(str(exc))
+    return MarketData(
+        valuation_date=str(valuation_date), spot=spot,
+        futures=tuple(futures), stock_iv=stock_iv, dividend_iv=dividend_iv,
+    )
 
 
 def _jsonify(obj):

@@ -13,11 +13,13 @@ node set before a fit is accepted.
 
 Neither the moments of an option's underlying nor their fits depend on
 the strike, so repeated prices on one underlying (a strike grid, a
-moment-count sweep) reuse them: a small memo keyed by value (the model,
-jump and state numbers, the horizon or window, and the exact bytes of a
-moment vector) holds about one underlying's moment counts.  A fit that
-failed to converge is remembered as a failure.  Prices are bit-identical
-to cold calls.
+moment-count sweep) reuse them.  The moments come from one record, of the
+underlying priced last (the model, jump and state numbers): since the
+generator never mixes degrees, a larger moment count extends a line's
+vector by degree and a smaller one reads its prefix, and the record's
+lines (horizons and windows) share each exponential.  Fits go through a
+small memo keyed by the exact bytes of a moment vector, which remembers a
+fit that failed to converge.  Prices are bit-identical to cold calls.
 
 A fit may also start from an earlier density with the same moment count
 (``fit_maxent(m, start=...)``): calibration prices each trial point next
@@ -27,9 +29,10 @@ it skips the memo; cold prices stay bit-identical.
 """
 
 import math
+import numbers
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -38,16 +41,19 @@ from scipy.special import roots_legendre
 
 from ._blas import single_thread
 from .errors import ConvergenceError, InfeasibleMomentsError, InvalidParameterError
-from .moments import cumulative_dividend_moments, stock_price_moments
+from .moments import _power_moments
+# kept for perfbench's tracer, which wraps them here
+from .moments import cumulative_dividend_moments, stock_price_moments  # noqa: F401
 
 _TAIL_WIDTHS = 40.0      # upper domain cut: M1 + 40 standard deviations
 _SUPPORT_WIDTHS = 30.0   # lower support cut for concentrated densities
 _FIT_NODES = 800         # first quadrature size; doubled (up to 4x) if the check fails
 _NEWTON_ITERS, _NEWTON_TOL = 200, 1e-12
 _VERIFY_TOL = 1e-10      # accepted residual, also on the refined rule
-_MEMO_SIZE = 8           # entries per memo: the moment counts of one underlying
+_MEMO_SIZE = 8           # fits held: the moment counts of one underlying
 _MEMO_LOCK = threading.Lock()
-_MOMENT_MEMO, _FIT_MEMO = OrderedDict(), OrderedDict()
+_MOMENT_MEMO = {}        # at most one entry: the record of the underlying priced last
+_FIT_MEMO = OrderedDict()
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,6 +205,10 @@ def _dual_newton(mu, nodes, weights, gamma0):
         for k in range(p + 1):
             chg[p, k] = math.comb(p, k) * (-m0) ** (p - k) / s0 ** p
     target_z = chg[1:] @ np.concatenate(([1.0], mu))
+    # Hessian [p, q] = cov(z^(p+1), z^(q+1)) = <z^(p+q+2)> - <z^(p+1)><z^(q+1)>: exactly symmetric
+    hankel = np.add.outer(np.arange(2, n + 2), np.arange(n))
+    ridge = 1e-13 * np.eye(n)
+    mu_abs = np.maximum(np.abs(mu), 1e-300)
 
     def state(g):
         expo = zpow[:, 1:n + 1] @ g
@@ -210,7 +220,7 @@ def _dual_newton(mu, nodes, weights, gamma0):
         umom = upow.T @ prob            # <u^1 .. u^N>
         log_z = math.log(total) - shift
         merit = log_z + g @ target_z
-        resid = np.abs(umom - mu) / np.maximum(np.abs(mu), 1e-300)
+        resid = np.abs(umom - mu) / mu_abs
         return zmom, umom, log_z, merit, float(resid.max())
 
     gamma = np.asarray(gamma0, dtype=float).copy()
@@ -224,14 +234,11 @@ def _dual_newton(mu, nodes, weights, gamma0):
         # differences first, then the basis change: keeps the gradient noise
         # proportional to the residual instead of to the moment magnitudes
         grad = chg[1:, 1:] @ (mu - umom)
-        hess = np.empty((n, n))
-        for p in range(n):
-            hess[p] = zmom[p + 2:p + 2 + n] - zmom[p + 1] * zmom[1:n + 1]
-        hess = 0.5 * (hess + hess.T)
+        hess = zmom[hankel] - np.outer(zmom[1:n + 1], zmom[1:n + 1])
         dscale = 1.0 / np.sqrt(np.maximum(np.diag(hess), 1e-30))
         hs = hess * dscale[:, None] * dscale[None, :]
         try:
-            step = dscale * np.linalg.solve(hs + 1e-13 * np.eye(n), -(dscale * grad))
+            step = dscale * np.linalg.solve(hs + ridge, -(dscale * grad))
         except np.linalg.LinAlgError:
             step = dscale * np.linalg.lstsq(hs, -(dscale * grad), rcond=None)[0]
         if not np.all(np.isfinite(step)):
@@ -316,17 +323,18 @@ def fit_maxent(moments, start=None):
     lo = center - _SUPPORT_WIDTHS * width
     lo = lo if lo > 0.05 else 0.0
 
-    last_residual = np.inf
+    rejected = None      # (error, nodes) of the last fit the refined rule rejected
     warm = None if start is None else start.gamma
     s0 = math.sqrt(mu[1] - mu[0] ** 2) if n >= 2 and mu[1] > mu[0] ** 2 else 1.0
     for nodes_count in (_FIT_NODES, 2 * _FIT_NODES, 4 * _FIT_NODES):
         panels = _quad_rule(center, width, nodes_count, lo=lo)
         u, w = _panel_nodes(panels)
         converged = None
+        best = np.inf
         starts = ([warm] if warm is not None else []) + _start_points(mu, s0)
         for gamma0 in starts:
             lam_scaled, zrep, iters, residual = _dual_newton(mu, u, w, gamma0)
-            last_residual = min(last_residual, residual)
+            best = min(best, residual)
             if residual <= _VERIFY_TOL:
                 converged = (lam_scaled, zrep, iters, residual)
                 break
@@ -337,14 +345,14 @@ def fit_maxent(moments, start=None):
         warm = gamma
         # verify the matched moments against a refined quadrature rule,
         # evaluating through the standardized coefficients for stability
+        # (Horner's rule, as MaxEntDensity.pdf does)
         u2, w2 = _panel_nodes(_quad_rule(center, width, 2 * nodes_count, lo=lo))
         z2 = (u2 - m0) / s0_fit
-        expo = z2[:, None] ** np.arange(1, n + 1) @ gamma + log_z
-        phi = w2 * np.exp(-expo)
-        mom2 = np.array([(phi * u2 ** k).sum() for k in range(1, n + 1)])
+        phi = w2 * np.exp(-(log_z + polyval(z2, np.concatenate(([0.0], gamma)))))
+        mom2 = phi @ np.cumprod(np.broadcast_to(u2[:, None], (u2.size, n)), axis=1)
         err2 = np.max(np.abs(mom2 - mu) / np.maximum(np.abs(mu), 1e-300))
-        norm_err = abs(phi.sum() - 1.0)
-        if max(err2, norm_err) < _VERIFY_TOL:
+        check = max(err2, abs(phi.sum() - 1.0))
+        if check < _VERIFY_TOL:
             # change of variables x = scale * u: lam_0 picks up ln(scale)
             lam = lam_scaled / scale ** np.arange(n + 1)
             lam[0] += math.log(scale)
@@ -362,10 +370,17 @@ def fit_maxent(moments, start=None):
                 log_norm=float(log_z),
                 support_lo=float(lo * scale),
             )
+        rejected = (check, u2.size)
+    if converged is not None:
+        raise ConvergenceError(
+            "maxent fit failed the refined-rule check at every node count: moment error "
+            f"{rejected[0]:.3e} (target {_VERIFY_TOL:g}) on {rejected[1]} nodes, after "
+            f"Newton reached residual {residual:.3e} on {u.size}")
     raise ConvergenceError(
-        f"maxent dual did not converge: best residual {last_residual:.3e} "
-        f"(target {_VERIFY_TOL:g}) with up to {4 * _FIT_NODES} nodes"
-    )
+        f"maxent dual did not converge: best residual {best:.3e} (target {_VERIFY_TOL:g}) "
+        f"with {u.size} nodes" + ("" if rejected is None else
+                                  ", after the refined-rule check rejected the fit with "
+                                  f"moment error {rejected[0]:.3e} on {rejected[1]} nodes"))
 
 
 @single_thread
@@ -477,6 +492,18 @@ def _underlying_key(params, jump, state):
             state.c, state.x, state.y.tobytes())
 
 
+@dataclass(eq=False)
+class _Record:
+    """One pass over the lines of one underlying: each line's moments by
+    (dt, window), extended by degree, and the exponentials its lines share
+    (see ``moments._power_moments``).  ``last`` is the line priced last."""
+
+    moments: dict = field(default_factory=dict)
+    held: dict = field(default_factory=dict)
+    last: tuple = None
+
+
+@single_thread
 def _option_inputs(params, jump, state, spec, n_moments):
     """Moments M_1..M_N of the option's underlying, the strike on it, and the discount.
 
@@ -484,28 +511,47 @@ def _option_inputs(params, jump, state, spec, n_moments):
     must be the accrual since the window start; the payoff is then on
     ``state.c`` plus the dividends still to come, priced as an option on
     the latter with the strike lowered by ``state.c``.  A zero-length
-    window pays on no dividends.  The moments are memoized read-only.
+    window pays on no dividends.
+
+    The moments come read-only from the record of the underlying priced
+    last: a larger N adds degrees to a line's vector, a smaller one reads
+    its prefix, and each exponential is made once per record.  Coming back
+    to a line the record has left starts a new record, so a repeated pass
+    over a model's lines makes the calls of the first.
     """
-    if n_moments < 2:
-        raise InvalidParameterError(f"need at least two moments, got {n_moments}")
+    if not (isinstance(n_moments, numbers.Real) and float(n_moments).is_integer()
+            and n_moments >= 2):
+        raise InvalidParameterError(f"need at least two moments, as a whole number, "
+                                    f"got {n_moments!r}")
+    n_moments = int(n_moments)
     discount = math.exp(-spec.rate * spec.expiry)
     strike = spec.strike
     if spec.underlying == "stock":
-        span, moment_fn = (spec.expiry,), stock_price_moments
+        line = (spec.expiry, None)
     else:
         t0, t1 = spec.window
         if t1 == t0:
             return np.zeros(n_moments), strike, discount
-        span, moment_fn = (max(t0, 0.0), t1), cumulative_dividend_moments
+        if t1 < 0:
+            raise InvalidParameterError(f"window {spec.window} has ended")
+        line = (max(t0, 0.0), t1 - max(t0, 0.0))
         strike -= state.c if t0 < 0 else 0.0
 
-    def moments():
-        raw = moment_fn(params, jump, state, 0.0, *span, n_moments)
-        raw.flags.writeable = False
-        return raw
-
-    key = (_underlying_key(params, jump, state), span, n_moments)
-    return _memo(_MOMENT_MEMO, key, moments), strike, discount
+    key = _underlying_key(params, jump, state)
+    with _MEMO_LOCK:
+        record = _MOMENT_MEMO.get(key)
+        if record is None or (line != record.last and line in record.moments):
+            record = _Record()
+            _MOMENT_MEMO.clear()
+            _MOMENT_MEMO[key] = record
+        record.last = line
+        raw = record.moments.get(line, np.empty(0))
+        if raw.size < n_moments:
+            more = _power_moments(params, jump, state, line[0], n_moments, window=line[1],
+                                  first=raw.size + 1, held=record.held)
+            raw = record.moments[line] = np.concatenate((raw, more))
+            raw.flags.writeable = False
+    return raw[:n_moments], strike, discount
 
 
 @single_thread

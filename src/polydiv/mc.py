@@ -185,8 +185,9 @@ def simulate_paths(params, jump, state0, config, workers=None):
     window_idx = []
     window_grid = {}
     for t0, t1 in config.windows:
-        i0 = min(max(int(round(t0 * config.steps_per_year)), 0), n_steps)
-        i1 = min(max(int(round(t1 * config.steps_per_year)), i0), n_steps)
+        # SimConfig keeps t0 <= t1 <= horizon, so neither index passes n_steps
+        i0 = max(int(round(t0 * config.steps_per_year)), 0)
+        i1 = max(int(round(t1 * config.steps_per_year)), i0)
         window_idx.append((i0, i1))
         # a started window keeps its negative T0 so that its mean includes state0.c
         window_grid[(t0, t1)] = (t0 if t0 < 0 else i0 * dt, i1 * dt)

@@ -36,15 +36,28 @@ def expm_apply(mat, dt, v):
     ``v`` exactly.  Uses scaling-and-squaring with the 13th-order rational
     approximant underneath.
     """
+    return _apply(_exponential(mat, dt), v)
+
+
+def _exponential(mat, dt):
+    """``expm(mat * dt)``, or ``None`` (the identity) at ``dt = 0``; a negative
+    dt or a non-finite entry raises."""
     mat = np.asarray(mat, dtype=float)
-    v = np.asarray(v, dtype=float)
     if dt < 0:
         raise InvalidParameterError(f"need dt >= 0, got {dt}")
-    if not np.all(np.isfinite(mat)) or not np.all(np.isfinite(v)):
+    if not np.all(np.isfinite(mat)):
         raise NumericError("non-finite entries in matrix-exponential input")
-    if dt == 0:
+    return None if dt == 0 else expm(mat * dt)
+
+
+def _apply(exponential, v):
+    """``exponential @ v`` from :func:`_exponential`: a copy of ``v`` for ``None``."""
+    v = np.asarray(v, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise NumericError("non-finite entries in matrix-exponential input")
+    if exponential is None:
         return v.copy()
-    out = expm(mat * dt) @ v
+    out = exponential @ v
     if not np.all(np.isfinite(out)):
         raise NumericError("matrix exponential produced non-finite values")
     return out
@@ -155,8 +168,8 @@ def dividend_futures(params, jump, state, t, T0, T1):
     return float(futures_strip(params, state, t, ((T0, T1),))[0][0])
 
 
-def _power_moments(params, jump, state, dt, n, window=None):
-    """E_t[P^k], k = 1..n, for P = X_T at T = t + dt, or with a `window`
+def _power_moments(params, jump, state, dt, n, window=None, first=1, held=None):
+    """E_t[P^k], k = first..n, for P = X_T at T = t + dt, or with a `window`
     length for P = C_T1 - C_T0 over [T0, T1] = [T, T + window].
 
     X_T^k is the x^k row, which leads the c-free sub-block of degree k.  As
@@ -164,18 +177,30 @@ def _power_moments(params, jump, state, dt, n, window=None):
     row, which leads the block, carried back over the window and restricted
     to the c-free monomials.  Either row is carried back over dt on the
     c-free sub-block, so ``state.c`` does not enter.
+
+    The generator never mixes degrees, so each E_t[P^k] needs block k alone
+    and is the same number whatever n is asked for.  `held`, a dict, keeps
+    the c-free exponentials by (degree, dt) and the carried-back window rows
+    by (degree, window): the lines of one model passed the same dict share
+    them, bit for bit.
     """
+    held = {} if held is None else held
     basis = build_basis(params.d, n)
     mat = build_generator(params, jump, basis).matrix
     h = eval_basis(basis, state)
-    out = np.empty(n)
-    for k in range(1, n + 1):
+    out = np.empty(n - first + 1)
+    for k in range(first, n + 1):
         s, f = basis.blocks[k], basis.c_free[k]
         if window is None:
             row = np.eye(f.stop - f.start)[0]
         else:
-            row = expm_apply(mat[s, s].T, window, np.eye(s.stop - s.start)[0])[f.start - s.start:]
-        out[k - 1] = expm_apply(mat[f, f].T, dt, row) @ h[f]
+            if ("row", k, window) not in held:
+                carried = expm_apply(mat[s, s].T, window, np.eye(s.stop - s.start)[0])
+                held["row", k, window] = carried[f.start - s.start:]
+            row = held["row", k, window]
+        if ("c-free", k, dt) not in held:
+            held["c-free", k, dt] = _exponential(mat[f, f].T, dt)
+        out[k - first] = _apply(held["c-free", k, dt], row) @ h[f]
     return out
 
 

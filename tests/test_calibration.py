@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import polydiv.calibration as calibration
 from polydiv import generator, maxent, moments
@@ -244,7 +245,7 @@ class TestObjective:
                 seen.append(fun(z))
                 return SimpleNamespace(x=z, nfev=1, njev=0, status=1, message="one call")
 
-            monkeypatch.setattr(calibration, "least_squares", one_evaluation)
+            monkeypatch.setattr(scipy.optimize, "least_squares", one_evaluation)
             res = calibrate(market, cfg)
             p = res.params
             value = objective([p.b[0], p.beta[0, 0], p.sigma, p.nu[0], res.d0], market, cfg)

@@ -1,4 +1,7 @@
 import math
+import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -85,6 +88,19 @@ class TestFit:
         d1 = fit_maxent(m)
         d2 = fit_maxent(m)
         np.testing.assert_array_equal(d1.lambdas, d2.lambdas)
+
+    def test_a_rejected_refined_rule_check_is_named(self):
+        # no-jump reference model, stock at T = 1, seven moments: Newton meets
+        # its target at 800, 1600 and 3200 nodes, the refined rule rejects each
+        m = stock_price_moments(reference_params(0.2), None, reference_state(), 0.0, 1.0, 7)
+        with pytest.raises(ConvergenceError) as info:
+            fit_maxent(np.concatenate(([1.0], m)))
+        message = str(info.value)
+        assert message.startswith("maxent fit failed the refined-rule check at every node count")
+        error, nodes = re.search(r"moment error (\S+) \(target 1e-10\) on (\d+) nodes",
+                                 message).groups()
+        assert float(error) > maxent._VERIFY_TOL and int(nodes) >= 8 * maxent._FIT_NODES
+        assert "did not converge" not in message
 
 
 class TestIntegratePayoff:
@@ -301,6 +317,94 @@ class TestRepeatedPrices:
                 _clear_memo()
                 cold.append(_price(p, TWO_POINT_JUMP, st, spec, n))
         assert warm == cold
+
+    @pytest.mark.parametrize("underlying", ["stock", "dividend"])
+    def test_prices_do_not_depend_on_the_order_of_counts(self, underlying):
+        # a price read from a prefix of a longer moment vector, or from one
+        # extended by degree, is the cold price bit for bit
+        p, st = reference_params(0.2), reference_state()
+        specs = _strike_grid(p, TWO_POINT_JUMP, st, underlying, 2.0)
+        counts = range(2, 7)
+        orders = {"ascending": counts, "descending": counts[::-1]}
+        prices = {}
+        for name, order in orders.items():
+            _clear_memo()
+            prices[name] = {(k, n): _price(p, TWO_POINT_JUMP, st, spec, n)
+                            for k, spec in enumerate(specs) for n in order}
+        prices["cold"] = {}
+        for k, spec in enumerate(specs):
+            for n in counts:
+                _clear_memo()
+                prices["cold"][k, n] = _price(p, TWO_POINT_JUMP, st, spec, n)
+        assert prices["ascending"] == prices["descending"] == prices["cold"]
+
+    def test_one_exponential_per_degree_block_and_step_on_a_surface(self, monkeypatch):
+        # stock at T = 1, 2, 3 and windows (T - 1, T): c-free blocks over 1, 2
+        # and 3 y and full blocks over the 1 y window, at each degree 1..6
+        rng = np.random.default_rng([1, 1])
+        p = random_admissible_params(rng, 3)
+        st = random_state_in_E(rng, p)
+        lines = [OptionSpec("call", underlying, 1.0, T, p.r, window)
+                 for T in (1.0, 2.0, 3.0)
+                 for underlying, window in (("stock", None), ("dividend", (T - 1.0, T)))]
+        exponentials = []
+        expm = polydiv.moments.expm
+        monkeypatch.setattr(polydiv.moments, "expm",
+                            lambda a: exponentials.append(a.shape) or expm(a))
+        for spec in lines:
+            for n in range(2, 7):
+                maxent._option_inputs(p, TWO_POINT_JUMP, st, spec, n)
+        assert len(exponentials) == 4 * 6
+        (record,) = maxent._MOMENT_MEMO.values()
+        held = sum(v.nbytes for v in record.held.values() if v is not None)
+        assert held < 0.5e6
+        monkeypatch.setattr(polydiv.moments, "expm", expm)
+        for spec in lines:
+            raw = maxent._option_inputs(p, TWO_POINT_JUMP, st, spec, 6)[0]
+            if spec.underlying == "stock":
+                cold = stock_price_moments(p, TWO_POINT_JUMP, st, 0.0, spec.expiry, 6)
+            else:
+                cold = cumulative_dividend_moments(p, TWO_POINT_JUMP, st, 0.0, *spec.window, 6)
+            np.testing.assert_array_equal(raw, cold)
+
+    def test_threads_sharing_the_record_read_the_cold_moments(self):
+        # four threads walk one model's lines and counts in different orders
+        p, st = reference_params(0.2), reference_state()
+        specs = [OptionSpec("call", "stock", 1.0, T, p.r) for T in (1.0, 2.0)]
+        specs += [OptionSpec("call", "dividend", 0.03, T, p.r, (T - 1.0, T)) for T in (1.0, 2.0)]
+        cold = {}
+        for k, spec in enumerate(specs):
+            for n in range(2, 7):
+                _clear_memo()
+                cold[k, n] = maxent._option_inputs(p, TWO_POINT_JUMP, st, spec, n)[0]
+        _clear_memo()
+        jobs = [(k, n) for k in range(len(specs)) for n in range(2, 7)]
+        seen, errors = [], []
+
+        def walk(order):
+            try:
+                for k, n in order:
+                    raw = maxent._option_inputs(p, TWO_POINT_JUMP, st, specs[k], n)[0]
+                    seen.append((k, n, raw))
+            except Exception as exc:  # reported below, from the test's own thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=walk, args=(order,))
+                       for order in (jobs, jobs[::-1], jobs[1::2] + jobs[::2],
+                                     sorted(jobs, key=lambda job: job[::-1]))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and not errors
+        assert len(seen) == 4 * len(jobs)
+        for k, n, raw in seen:
+            np.testing.assert_array_equal(raw, cold[k, n])
 
     def test_in_place_parameter_change_is_not_stale(self):
         p, st = reference_params(0.2), reference_state()
@@ -560,6 +664,12 @@ class TestPriceOption:
         np.testing.assert_array_equal(density.lambdas, cold.lambdas)
         assert price == discount * integrate_payoff(cold, option_payoff(kind, strike),
                                                     points=(strike,))
+
+    def test_ended_window_is_rejected(self):
+        p, st = reference_params(0.2), reference_state()
+        spec = OptionSpec("call", "dividend", 0.03, 1.0, p.r, (-1.0, -0.5))
+        with pytest.raises(InvalidParameterError, match="has ended"):
+            price_option(p, None, st, spec, 6)
 
     @pytest.mark.parametrize("kind,payoff", [("call", 0.0), ("put", 0.03)])
     def test_zero_length_window_prices_the_point_mass(self, kind, payoff):
