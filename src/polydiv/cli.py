@@ -360,7 +360,7 @@ def _cmd_price_option(args):
         payload["mc"] = {
             "value": est.value, "std_error": est.std_error,
             "ci_low": est.ci_low, "ci_high": est.ci_high,
-            "n_paths": est.n_paths, "control": est.control,
+            "n_paths": est.n_paths, "control": est.control, "workers": bundle.workers,
         }
         columns += ["mc_value", "mc_ci_low", "mc_ci_high"]
         csv_rows = [row + [est.value, est.ci_low, est.ci_high] for row in csv_rows]
@@ -397,6 +397,7 @@ def _cmd_simulate(args):
         "steps_per_year": cfg.steps_per_year,
         "rng": bundle.rng_algorithm,
         "projection_count": bundle.projection_count,
+        "workers": bundle.workers,
         "terminal_stock": {
             "mean": float(bundle.terminal_x.mean()),
             "std": float(bundle.terminal_x.std(ddof=1)) if cfg.n_paths > 1 else 0.0,

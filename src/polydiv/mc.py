@@ -1,16 +1,18 @@
 """Euler Monte-Carlo simulator with state-space projection and control variates.
 
 Paths are generated in fixed-size blocks, each block drawing from its own
-counter-based Philox stream keyed by (seed, block index).  Results are
-therefore bit-identical for a given seed regardless of how many worker
-threads execute the blocks; the block size is a module constant and part
-of the reproducibility contract.
+counter-based Philox stream keyed by (seed, block index).  Blocks run in
+forked worker processes, one per CPU by default, and write their slices of
+the outputs in place into one shared anonymous map allocated before the
+fork.  Results are therefore bit-identical for a given seed regardless of
+how many workers execute the blocks; the block size is a module constant
+and part of the reproducibility contract.
 """
 
 import math
+import mmap
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,13 +72,15 @@ class PathBundle:
     yield_paths: np.ndarray = None
     rng_algorithm: str = RNG_ALGORITHM
     projection_count: int = 0
+    workers: int = 1                        # processes that ran the blocks
 
 
 def _worker_count():
-    """Worker threads from ``POLYDIV_THREADS``: a positive integer, 1 if unset or empty."""
+    """Worker processes from ``POLYDIV_THREADS``: a positive integer, or the
+    CPUs in this process's affinity mask if unset or empty."""
     env = os.environ.get("POLYDIV_THREADS", "")
     if not env:
-        return 1
+        return len(os.sched_getaffinity(0))
     try:
         count = int(env)
     except ValueError:
@@ -86,7 +90,26 @@ def _worker_count():
     return count
 
 
-def _simulate_block(params, jump, state0, n, n_steps, dt, window_idx, rng, store_yields):
+def _shared_arrays(*specs):
+    """Zeroed C-contiguous arrays, one per (shape, dtype), over one shared anonymous map.
+
+    The map is shared, not private: a process forked after this call writes
+    into the pages the caller reads.  The arrays keep the map alive.
+    """
+    offsets, size = [], 0
+    for shape, dtype in specs:
+        offsets.append(size)
+        size += math.prod(shape) * np.dtype(dtype).itemsize   # 8-byte items keep all aligned
+    buf = mmap.mmap(-1, size)
+    return [np.ndarray(shape, dtype, buffer=buf, offset=offset)
+            for (shape, dtype), offset in zip(specs, offsets)]
+
+
+def _simulate_block(params, jump, state0, n_steps, dt, window_idx, rng, store_yields,
+                    x_out, y_out, c, disc, wsums, jcount, yields):
+    """Step one block's paths, writing them into its slices of the outputs; returns
+    the number of projections onto E."""
+    n = c.size
     d, a, r = params.d, params.a, params.r
     b, beta, sigma, nu = params.b, params.beta, params.sigma, params.nu
     sqrt_dt = math.sqrt(dt)
@@ -97,14 +120,12 @@ def _simulate_block(params, jump, state0, n, n_steps, dt, window_idx, rng, store
 
     x = np.full(n, float(state0.x))
     y = np.tile(np.asarray(state0.y, dtype=float), (n, 1))
-    c = np.full(n, float(state0.c))
-    disc = np.zeros(n)
-    wsums = np.zeros((len(window_idx), n))
-    jcount = np.zeros(n, dtype=np.int64)
+    c[:] = state0.c
+    disc[:] = 0.0
+    wsums[:] = 0.0
+    jcount[:] = 0
     projections = 0
-    yields = None
     if store_yields:
-        yields = np.empty((n, n_steps + 1))
         yields[:, 0] = y.sum(axis=1) / x
 
     div = y.sum(axis=1)
@@ -158,7 +179,21 @@ def _simulate_block(params, jump, state0, n, n_steps, dt, window_idx, rng, store
 
         x, y, div = x_new, y_new, div_new
 
-    return x, y, c, disc, wsums, jcount, yields, projections
+    x_out[:] = x
+    y_out[:] = y
+    return projections
+
+
+_installed_block = None     # a forked worker's block runner, set by its pool initializer
+
+
+def _install_block(run_block):
+    global _installed_block
+    _installed_block = run_block
+
+
+def _run_installed_block(k):
+    return _installed_block(k)
 
 
 def simulate_paths(params, jump, state0, config, workers=None):
@@ -170,6 +205,9 @@ def simulate_paths(params, jump, state0, config, workers=None):
     dividend integral use trapezoid rule on the dividend rate.  A window
     that started before time 0 (T0 < 0) starts its sum from ``state0.c``,
     the accrual since the window start.
+
+    ``workers`` bounds the worker processes (default ``_worker_count()``),
+    capped at the block count; with one, the blocks run in this process.
     """
     membership = in_state_space(params, state0)
     if not membership.inside:
@@ -193,42 +231,39 @@ def simulate_paths(params, jump, state0, config, workers=None):
         window_grid[(t0, t1)] = (t0 if t0 < 0 else i0 * dt, i1 * dt)
 
     n = config.n_paths
+    n_blocks = -(-n // BLOCK_SIZE)
+    n_workers = min(workers if workers is not None else _worker_count(), n_blocks)
+    if n_workers < 1:
+        raise InvalidParameterError(f"need workers >= 1, got {workers}")
     store_yields = config.store_policy == "full"
-    terminal_x = np.empty(n)
-    terminal_y = np.empty((n, params.d))
-    terminal_c = np.empty(n)
-    disc_div = np.empty(n)
-    wsums = np.empty((len(window_idx), n))
-    jcounts = np.empty(n, dtype=np.int64)
-    yields = np.empty((n, n_steps + 1)) if store_yields else None
+    terminal_x, terminal_y, terminal_c, disc_div, wsums, jcounts, yields = _shared_arrays(
+        ((n,), float), ((n, params.d), float), ((n,), float), ((n,), float),
+        ((len(window_idx), n), float), ((n,), np.int64),
+        ((n, n_steps + 1 if store_yields else 0), float))
 
-    blocks = [(k, lo, min(lo + BLOCK_SIZE, n)) for k, lo in enumerate(range(0, n, BLOCK_SIZE))]
-
-    def run_block(block):
-        k, lo, hi = block
+    def run_block(k):
+        rows = slice(k * BLOCK_SIZE, min((k + 1) * BLOCK_SIZE, n))
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((config.seed, k))))
-        return block, _simulate_block(
-            params, jump, state0, hi - lo, n_steps, dt, window_idx, rng, store_yields
-        )
+        return _simulate_block(
+            params, jump, state0, n_steps, dt, window_idx, rng, store_yields,
+            terminal_x[rows], terminal_y[rows], terminal_c[rows], disc_div[rows],
+            wsums[:, rows], jcounts[rows], yields[rows])
 
-    n_workers = workers if workers is not None else _worker_count()
-    if n_workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(run_block, blocks))
+    if n_workers == 1:
+        projections = [run_block(k) for k in range(n_blocks)]
     else:
-        results = [run_block(blk) for blk in blocks]
+        # fork, not spawn: the workers inherit run_block and the output map,
+        # so only block indices and projection counts are pickled
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    total_projections = 0
-    for (k, lo, hi), (bx, by, bc, bdisc, bw, bj, byields, nproj) in results:
-        terminal_x[lo:hi] = bx
-        terminal_y[lo:hi] = by
-        terminal_c[lo:hi] = bc
-        disc_div[lo:hi] = bdisc
-        wsums[:, lo:hi] = bw
-        jcounts[lo:hi] = bj
-        if store_yields:
-            yields[lo:hi] = byields
-        total_projections += nproj
+        pool = ProcessPoolExecutor(n_workers, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_install_block, initargs=(run_block,))
+        try:
+            projections = list(pool.map(_run_installed_block, range(n_blocks)))
+        finally:
+            # a failed block cancels the blocks not yet started; every worker is joined
+            pool.shutdown(cancel_futures=True)
 
     for idx, (t0, _) in enumerate(config.windows):
         if t0 < 0:  # a started window carries the accrual since its start
@@ -248,8 +283,9 @@ def simulate_paths(params, jump, state0, config, workers=None):
         window_sums=window_sums,
         window_grid=window_grid,
         jump_counts=jcounts,
-        yield_paths=yields,
-        projection_count=total_projections,
+        yield_paths=yields if store_yields else None,
+        projection_count=sum(projections),
+        workers=n_workers,
     )
 
 

@@ -310,12 +310,23 @@ class TestCommands:
                      "--paths", "2000", "--steps-per-year", "52", "--seed", "3",
                      "--store-yields", "--out", out])
         assert code == 0
+        assert report["payload"]["workers"] == 1    # 2000 paths are one block
         mart = report["payload"]["martingale"]
         assert mart["contains_reference"]
         ys = report["payload"]["yield_stats"]
         assert 0.0 <= ys["min"] and ys["max"] <= 0.2
         assert os.path.exists(os.path.join(out, "yield_paths.csv"))
         assert os.path.exists(os.path.join(out, "report.json"))
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_simulate_reports_the_workers_used(self, config_path, capsys, monkeypatch,
+                                               threads):
+        monkeypatch.setenv("POLYDIV_THREADS", threads)
+        code, report = run_json(
+            capsys, ["simulate", "--config", config_path, "--horizon", "0.1",
+                     "--paths", "4097", "--seed", "3"])     # two blocks
+        assert code == 0
+        assert report["payload"]["workers"] == int(threads)
 
     @pytest.mark.parametrize("window", [("0", "2"), ("0.8", "0.2")],
                              ids=["past_horizon", "unordered"])
@@ -396,3 +407,4 @@ class TestCommands:
         assert code == 0
         mc = report["payload"]["mc"]
         assert mc["ci_low"] <= report["payload"]["price"] <= mc["ci_high"]
+        assert mc["workers"] == 1                   # 4000 paths are one block

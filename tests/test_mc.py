@@ -1,8 +1,12 @@
+import dataclasses
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+import polydiv.mc
 from polydiv.errors import ConfigError, DomainError, InvalidParameterError
 from polydiv.mc import (
     BLOCK_SIZE,
@@ -73,17 +77,58 @@ class TestSimulatePaths:
         with pytest.raises(ConfigError, match=f"POLYDIV_THREADS.*'{value}'"):
             simulate_paths(params_a02, None, state0, SimConfig(n_paths=10, horizon=0.1))
 
-    def test_empty_thread_count_means_one(self, monkeypatch):
+    def test_empty_thread_count_means_the_affinity_mask(self, monkeypatch):
         monkeypatch.setenv("POLYDIV_THREADS", "")
-        assert _worker_count() == 1
+        assert _worker_count() == len(os.sched_getaffinity(0))
+        monkeypatch.delenv("POLYDIV_THREADS")
+        assert _worker_count() == len(os.sched_getaffinity(0))
 
-    def test_worker_count_invariance(self, params_a02, state0):
-        cfg = SimConfig(n_paths=10000, horizon=0.5, seed=5, windows=((0.0, 0.5),))
-        b1 = simulate_paths(params_a02, None, state0, cfg, workers=1)
-        b4 = simulate_paths(params_a02, None, state0, cfg, workers=4)
-        np.testing.assert_array_equal(b1.terminal_x, b4.terminal_x)
-        np.testing.assert_array_equal(b1.window_sums[(0.0, 0.5)], b4.window_sums[(0.0, 0.5)])
-        np.testing.assert_array_equal(b1.jump_counts, b4.jump_counts)
+    def test_worker_count_invariance(self, params_a02):
+        # the pinned-stream config with a started window and stored yields;
+        # nu = 0.6 makes the model project paths back onto E
+        jump = JumpSpec(lam=1.0, dist=TwoPoint(z1=-0.3, p=0.4, z2=0.25))
+        cfg = SimConfig(n_paths=2 * BLOCK_SIZE + 5, horizon=0.5, seed=11, store_policy="full",
+                        windows=((-0.25, 0.25), (0.25, 0.5)))
+        state = State(c=0.01, x=1.0, y=[0.0371])
+        arrays = ("terminal_x", "terminal_y", "terminal_c", "disc_div", "jump_counts",
+                  "yield_paths")
+        dtypes = (np.float64,) * 4 + (np.int64, np.float64)
+        for params in (params_a02, dataclasses.replace(params_a02, nu=np.array([0.6]))):
+            b1 = simulate_paths(params, jump, state, cfg, workers=1)
+            assert b1.workers == 1
+            for workers in (2, 4):
+                bw = simulate_paths(params, jump, state, cfg, workers=workers)
+                assert bw.workers == min(workers, 3)
+                assert bw.projection_count == b1.projection_count
+                pairs = [(getattr(b1, name), getattr(bw, name), dtype)
+                         for name, dtype in zip(arrays, dtypes)]
+                pairs += [(b1.window_sums[w], bw.window_sums[w], np.float64)
+                          for w in cfg.windows]
+                for one, many, dtype in pairs:
+                    assert many.dtype == dtype and many.flags.c_contiguous
+                    assert one.shape == many.shape and one.tobytes() == many.tobytes()
+        assert b1.projection_count > 0
+
+    def test_failing_worker_raises_and_leaves_no_process(self, params_a02, state0,
+                                                         monkeypatch):
+        cfg = SimConfig(n_paths=2 * BLOCK_SIZE, horizon=0.1, seed=4)
+        bundle = simulate_paths(params_a02, None, state0, cfg, workers=2)
+        assert bundle.workers == 2
+        assert multiprocessing.active_children() == []
+
+        def fail(*args):
+            raise RuntimeError("block failed")
+
+        # the forked workers inherit the patched module
+        monkeypatch.setattr(polydiv.mc, "_simulate_block", fail)
+        with pytest.raises(RuntimeError, match="block failed"):
+            simulate_paths(params_a02, None, state0, cfg, workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_count_must_be_positive(self, params_a02, state0):
+        with pytest.raises(InvalidParameterError, match="workers >= 1"):
+            simulate_paths(params_a02, None, state0, SimConfig(n_paths=10, horizon=0.1),
+                           workers=0)
 
     def test_zero_intensity_matches_pure_diffusion(self, params_a02, state0):
         cfg = SimConfig(n_paths=4000, horizon=0.5, seed=13)
