@@ -33,7 +33,6 @@ from .errors import (
     PolydivError,
 )
 from .generator import (
-    GeneratorMatrix,
     MultiIndex,
     PolyBasis,
     apply_generator_pointwise,

@@ -226,18 +226,16 @@ def parse_market_csv(path, spot=None, valuation_date=None):
     )
 
 
-def _jsonify(obj):
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonify(asdict(obj))
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
+def _encode(obj):
+    """``json.dumps`` hook: numpy arrays and scalars, and dataclasses, in JSON
+    types; anything else json cannot encode is an error, not a string."""
     if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
         return obj.item()
-    return obj
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return asdict(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _report(command, config_echo, payload, seed=None, started=None):
@@ -247,8 +245,7 @@ def _report(command, config_echo, payload, seed=None, started=None):
         "seed": seed,
         "elapsed_s": round(time.perf_counter() - started, 6) if started is not None else None,
     }
-    return {"command": command, "config": _jsonify(config_echo), "payload": _jsonify(payload),
-            "meta": meta}
+    return {"command": command, "config": config_echo, "payload": payload, "meta": meta}
 
 
 def _csv_cell(v):
@@ -258,7 +255,7 @@ def _csv_cell(v):
 
 
 def _emit(report, out_dir, csv_files=()):
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(report, indent=2, sort_keys=True, default=_encode)
     print(text)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -274,7 +271,7 @@ def _emit(report, out_dir, csv_files=()):
 def _cmd_validate(args):
     params, jump, state, echo = parse_model_config(args.config, require_admissible=False)
     report = validate_admissibility(params)
-    _emit(_report("validate", echo, asdict(report), started=args._t0), args.out)
+    _emit(_report("validate", echo, report, started=args._t0), args.out)
     return EXIT_OK if report.admissible else EXIT_VALIDATION
 
 
@@ -443,7 +440,6 @@ def _cmd_calibrate(args):
         max_evals=args.max_evals, weight_iv=args.weight_iv,
     )
     result = calibrate(market, cfg)
-    rows = [asdict(r) for r in result.instruments]
     payload = {
         "fitted": {
             "a": cfg.a, "r": cfg.r,
@@ -451,7 +447,7 @@ def _cmd_calibrate(args):
             "sigma": result.params.sigma, "nu": float(result.params.nu[0]),
             "d0": result.d0,
         },
-        "instruments": rows,
+        "instruments": result.instruments,
         "objective": result.objective,
         "trace": result.trace,
         "underdetermined": result.underdetermined,
@@ -486,7 +482,8 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, market=False):
+    def common(p, handler, market=False):
+        p.set_defaults(handler=handler)
         p.add_argument("--config", required=True, help="model config JSON")
         p.add_argument("--out", default=None, help="directory for report/CSV output")
         if market:
@@ -494,17 +491,16 @@ def build_parser():
             p.add_argument("--spot", type=float, default=None)
             p.add_argument("--valuation-date", default=None)
 
-    p_val = sub.add_parser("validate", help="admissibility report")
-    common(p_val)
+    common(sub.add_parser("validate", help="admissibility report"), _cmd_validate)
 
     p_price = sub.add_parser("price", help="price futures or options")
     price_sub = p_price.add_subparsers(dest="target", required=True)
 
     p_fut = price_sub.add_parser("futures", help="dividend futures strip and stock futures")
-    common(p_fut, market=True)
+    common(p_fut, _cmd_price_futures, market=True)
 
     p_opt = price_sub.add_parser("option", help="maxent option price")
-    common(p_opt)
+    common(p_opt, _cmd_price_option)
     p_opt.add_argument("--underlying", choices=["stock", "dividend"], default="stock")
     p_opt.add_argument("--kind", choices=["call", "put"], default="call")
     p_opt.add_argument("--strike", type=float, default=None, help="default: ATM")
@@ -517,13 +513,13 @@ def build_parser():
     p_opt.add_argument("--seed", type=int, default=0)
 
     p_mom = sub.add_parser("moments", help="conditional moment dump")
-    common(p_mom)
+    common(p_mom, _cmd_moments)
     p_mom.add_argument("--t", type=float, default=0.0)
     p_mom.add_argument("--T", type=float, required=True)
     p_mom.add_argument("--n", type=int, default=2)
 
     p_sim = sub.add_parser("simulate", help="Monte-Carlo path summaries")
-    common(p_sim)
+    common(p_sim, _cmd_simulate)
     p_sim.add_argument("--horizon", type=float, default=1.0)
     p_sim.add_argument("--paths", type=int, default=10_000)
     p_sim.add_argument("--steps-per-year", type=int, default=252)
@@ -533,22 +529,13 @@ def build_parser():
                        metavar=("T0", "T1"), help="dividend accrual window (repeatable)")
 
     p_cal = sub.add_parser("calibrate", help="fit the single-factor model to market data")
-    common(p_cal, market=True)
+    common(p_cal, _cmd_calibrate, market=True)
     p_cal.add_argument("--moments", type=int, default=6)
     p_cal.add_argument("--two-stage", action="store_true")
     p_cal.add_argument("--max-evals", type=int, default=4000)
     p_cal.add_argument("--weight-iv", type=float, default=1e4)
     return parser
 
-
-_HANDLERS = {
-    ("validate", None): _cmd_validate,
-    ("price", "futures"): _cmd_price_futures,
-    ("price", "option"): _cmd_price_option,
-    ("moments", None): _cmd_moments,
-    ("simulate", None): _cmd_simulate,
-    ("calibrate", None): _cmd_calibrate,
-}
 
 _EXIT_BY_ERROR = (
     ((ConfigError, MarketDataError), EXIT_DATA),
@@ -562,9 +549,8 @@ def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     args._t0 = time.perf_counter()
-    handler = _HANDLERS[(args.command, getattr(args, "target", None))]
     try:
-        return handler(args)
+        return args.handler(args)
     except PolydivError as exc:
         code = EXIT_NUMERIC
         for classes, c in _EXIT_BY_ERROR:

@@ -115,18 +115,6 @@ def build_basis(d, n):
                      blocks=blocks, c_free=c_free)
 
 
-@dataclass(frozen=True, eq=False)
-class GeneratorMatrix:
-    """Matrix representation of the generator on a monomial basis.
-
-    Row conventions: ``matrix @ basis.eval(...)`` evaluates the generator
-    applied to each basis monomial.  Entries are in 1/year.
-    """
-
-    basis: PolyBasis
-    matrix: np.ndarray
-
-
 def _base_power_terms(d, m):
     """Expansion of (x - 1'y/a)^m as [(x-exponent, y-exponents, q, coeff)].
 
@@ -256,7 +244,9 @@ def _generator_template(d, n):
 
 
 def build_generator(params, jump, basis):
-    """Generator matrix on `basis` for admissible parameters.
+    """Generator matrix G on `basis` for admissible parameters, in 1/year:
+    ``G @ eval_basis(basis, state)`` is the generator applied to each basis
+    monomial, evaluated at the state.
 
     Raises :class:`InadmissibleParamsError` if the inward-drift conditions
     fail.  The matrix is the basis's cached template weighted by the
@@ -268,8 +258,7 @@ def build_generator(params, jump, basis):
     tpl = _generator_template(basis.d, basis.n)
     weights = tpl.mult * _term_factors(params, jump, basis.n)[tpl.term]
     size = basis.size
-    mat = np.bincount(tpl.flat, weights=weights, minlength=size * size).reshape(size, size)
-    return GeneratorMatrix(basis=basis, matrix=mat)
+    return np.bincount(tpl.flat, weights=weights, minlength=size * size).reshape(size, size)
 
 
 def eval_basis(basis, state):

@@ -81,11 +81,11 @@ class MaxEntDensity:
     moments: np.ndarray
     iterations: int
     residual: float
-    gamma: np.ndarray = None
-    z_center: float = 0.0
-    z_scale: float = 1.0
-    log_norm: float = 0.0
-    support_lo: float = 0.0
+    gamma: np.ndarray
+    z_center: float
+    z_scale: float
+    log_norm: float
+    support_lo: float
 
     def pdf(self, x):
         """Density values, zero outside [support_lo, x_max]."""

@@ -76,11 +76,14 @@ class PathBundle:
 
 
 def _worker_count():
-    """Worker processes from ``POLYDIV_THREADS``: a positive integer, or the
-    CPUs in this process's affinity mask if unset or empty."""
+    """Worker processes from ``POLYDIV_THREADS``: a positive integer, or, if
+    unset or empty, the CPUs in this process's affinity mask (all CPUs where
+    the platform has no affinity mask)."""
     env = os.environ.get("POLYDIV_THREADS", "")
     if not env:
-        return len(os.sched_getaffinity(0))
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
     try:
         count = int(env)
     except ValueError:
@@ -196,7 +199,7 @@ def _run_installed_block(k):
     return _installed_block(k)
 
 
-def simulate_paths(params, jump, state0, config, workers=None):
+def simulate_paths(params, jump, state0, config):
     """Simulate Euler paths of (C, X, Y) per the config; deterministic in seed.
 
     The state is projected onto E after every step (factor clipping plus a
@@ -206,8 +209,9 @@ def simulate_paths(params, jump, state0, config, workers=None):
     that started before time 0 (T0 < 0) starts its sum from ``state0.c``,
     the accrual since the window start.
 
-    ``workers`` bounds the worker processes (default ``_worker_count()``),
-    capped at the block count; with one, the blocks run in this process.
+    ``POLYDIV_THREADS`` bounds the worker processes (see ``_worker_count``),
+    capped at the block count; with one, or where the platform cannot fork,
+    the blocks run in this process.
     """
     membership = in_state_space(params, state0)
     if not membership.inside:
@@ -232,9 +236,11 @@ def simulate_paths(params, jump, state0, config, workers=None):
 
     n = config.n_paths
     n_blocks = -(-n // BLOCK_SIZE)
-    n_workers = min(workers if workers is not None else _worker_count(), n_blocks)
-    if n_workers < 1:
-        raise InvalidParameterError(f"need workers >= 1, got {workers}")
+    n_workers = min(_worker_count(), n_blocks)
+    if n_workers > 1:
+        import multiprocessing
+        if "fork" not in multiprocessing.get_all_start_methods():   # Windows
+            n_workers = 1
     store_yields = config.store_policy == "full"
     terminal_x, terminal_y, terminal_c, disc_div, wsums, jcounts, yields = _shared_arrays(
         ((n,), float), ((n, params.d), float), ((n,), float), ((n,), float),
@@ -254,7 +260,6 @@ def simulate_paths(params, jump, state0, config, workers=None):
     else:
         # fork, not spawn: the workers inherit run_block and the output map,
         # so only block indices and projection counts are pickled
-        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(n_workers, mp_context=multiprocessing.get_context("fork"),

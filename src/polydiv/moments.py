@@ -99,7 +99,7 @@ def conditional_moments(params, jump, state, t, T, n):
     ``H_B(state) @ expm(B' (T - t))`` on each degree block B, one row each."""
     _check_moment_args("n", n, t, T=T)
     basis = build_basis(params.d, int(n))
-    mat = build_generator(params, jump, basis).matrix
+    mat = build_generator(params, jump, basis)
     h = eval_basis(basis, state)
     values = np.concatenate([h[s] @ expm_apply(mat[s, s].T, T - t, np.eye(s.stop - s.start))
                              for s in basis.blocks])
@@ -186,7 +186,7 @@ def _power_moments(params, jump, state, dt, n, window=None, first=1, held=None):
     """
     held = {} if held is None else held
     basis = build_basis(params.d, n)
-    mat = build_generator(params, jump, basis).matrix
+    mat = build_generator(params, jump, basis)
     h = eval_basis(basis, state)
     out = np.empty(n - first + 1)
     for k in range(first, n + 1):

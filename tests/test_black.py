@@ -103,11 +103,22 @@ class TestImpliedVol:
                 black76_price(1.0 * math.exp((0.01 - q) * 0.25), 1.0, 0.25, 0.23, 0.01, kind)
 
 
+def _loaded_by_cli_import(*modules):
+    """The given modules that a fresh ``import polydiv.cli`` puts in sys.modules."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(polydiv.__file__)))
+    code = f"import sys, polydiv.cli; print([m for m in {modules!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    return out.stdout.strip()
+
+
 def test_cli_import_leaves_out_scipy_stats():
     # the normal CDF comes from scipy.special; scipy.stats costs about 0.4 s
     # of every command-line start
-    src = os.path.dirname(os.path.dirname(os.path.abspath(polydiv.__file__)))
-    code = "import sys, polydiv.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert out.stdout.strip() == "False"
+    assert _loaded_by_cli_import("scipy.stats") == "[]"
+
+
+def test_cli_import_leaves_out_the_lazy_imports():
+    # calibration imports scipy.optimize, and the simulator multiprocessing,
+    # only when they run: commands that do not need them start faster
+    assert _loaded_by_cli_import("scipy.optimize", "multiprocessing") == "[]"

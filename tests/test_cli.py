@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -7,9 +8,10 @@ import pytest
 import scipy
 
 from polydiv import _blas
-from polydiv.cli import parse_market_csv, parse_model_config, run
+from polydiv.cli import _encode, parse_market_csv, parse_model_config, run
 from polydiv.errors import ConfigError, InadmissibleParamsError, MarketDataError
 from polydiv.maxent import OptionSpec, price_stock_option
+from polydiv.model import ModelParams, validate_admissibility
 from polydiv.moments import dividend_futures, stock_futures
 
 from conftest import random_admissible_params, random_state_in_E
@@ -408,3 +410,40 @@ class TestCommands:
         mc = report["payload"]["mc"]
         assert mc["ci_low"] <= report["payload"]["price"] <= mc["ci_high"]
         assert mc["workers"] == 1                   # 4000 paths are one block
+
+
+class TestEncode:
+    def test_numpy_values_and_nested_dataclasses(self):
+        @dataclasses.dataclass
+        class Inner:
+            count: np.int64
+            flag: np.bool_
+
+        @dataclasses.dataclass
+        class Outer:
+            values: np.ndarray
+            inner: Inner
+            pair: tuple
+
+        obj = {"outer": Outer(np.array([[0.5, 1.0]]), Inner(np.int64(3), np.bool_(True)),
+                              (np.float64(0.25), np.int32(-1)))}
+        text = json.dumps(obj, sort_keys=True, default=_encode)
+        assert json.loads(text) == {"outer": {"values": [[0.5, 1.0]],
+                                              "inner": {"count": 3, "flag": True},
+                                              "pair": [0.25, -1]}}
+
+    def test_validate_report_slacks_are_lists(self):
+        params = ModelParams(r=0.01, a=0.2, sigma=0.2, d=2, b=[0.01, 0.02],
+                             beta=[[-0.3, 0.0], [0.0, -0.4]], nu=[0.02, 0.03])
+        report = validate_admissibility(params)
+        encoded = json.loads(json.dumps(report, default=_encode))
+        assert encoded["factor_slack"] == report.factor_slack.tolist()
+        assert encoded["factor_interior"] == report.factor_interior.tolist()
+        assert isinstance(encoded["admissible"], bool)
+
+    def test_unknown_object_is_an_error(self):
+        with pytest.raises(TypeError, match="object is not JSON serializable"):
+            json.dumps({"payload": [object()]}, default=_encode)
+        # a dataclass type is not an instance: json cannot encode it either
+        with pytest.raises(TypeError, match="type is not JSON serializable"):
+            json.dumps({"kind": OptionSpec}, default=_encode)

@@ -66,20 +66,20 @@ class TestGeneratorMatrix:
         g = build_generator(params_a02, None, basis)
         # rows/cols 1..3 are (c, x, y); the generator acts as
         # c -> y, x -> r x - y, y -> b x + beta y
-        block = g.matrix[1:, 1:]
+        block = g[1:, 1:]
         np.testing.assert_allclose(
             block,
             [[0.0, 0.0, 1.0], [0.0, 0.01, -1.0], [0.0, 0.0103, -0.3439]],
         )
         # constant monomial row and column are identically zero
-        assert not g.matrix[0].any()
-        assert not g.matrix[:, 0].any()
+        assert not g[0].any()
+        assert not g[:, 0].any()
 
     def test_drift_only_x_squared(self):
         p = ModelParams.single_factor(r=0.03, a=0.1, sigma=0.0, b=0.0, beta=-0.2, nu=0.0)
         basis = build_basis(1, 2)
         g = build_generator(p, None, basis)
-        row = g.matrix[basis.position(0, 2, (0,))]
+        row = g[basis.position(0, 2, (0,))]
         expect = np.zeros(basis.size)
         expect[basis.position(0, 2, (0,))] = 2 * 0.03   # 2 r x^2
         expect[basis.position(0, 1, (1,))] = -2.0       # -2 x y cross term
@@ -92,9 +92,9 @@ class TestGeneratorMatrix:
             gj = build_generator(params_a02, JumpSpec(lam=2.0, dist=dist), basis)
             for pos, m in enumerate(basis.members):
                 if m.j <= 1:
-                    np.testing.assert_array_equal(g0.matrix[pos], gj.matrix[pos])
+                    np.testing.assert_array_equal(g0[pos], gj[pos])
             # degree >= 2 in x must differ
-            assert not np.allclose(g0.matrix, gj.matrix)
+            assert not np.allclose(g0, gj)
 
     def test_factor_count_must_match_basis(self, params_a02):
         with pytest.raises(InvalidParameterError):
@@ -111,7 +111,7 @@ class TestGeneratorMatrix:
         bumped = ModelParams.single_factor(r=0.01, a=0.2, sigma=0.9, b=0.0103,
                                            beta=-0.3439, nu=0.05)
         g2 = build_generator(bumped, None, basis)
-        np.testing.assert_array_equal(g1.matrix, g2.matrix)
+        np.testing.assert_array_equal(g1, g2)
 
 
 class TestPointwiseOracle:
@@ -157,21 +157,21 @@ class TestPointwiseOracle:
             basis = build_basis(d, n)
             gen = build_generator(params, jump, basis)
             coeffs = rng.standard_normal(basis.size)
-            via_matrix = float(coeffs @ (gen.matrix @ eval_basis(basis, state)))
+            via_matrix = float(coeffs @ (gen @ eval_basis(basis, state)))
             direct = apply_generator_pointwise(params, jump, basis, coeffs, state)
             assert via_matrix == pytest.approx(direct, rel=1e-10, abs=1e-12)
             # the generator never mixes degrees, so block-by-block
             # exponentiation equals the whole-matrix exponential
-            off_block = gen.matrix.copy()
+            off_block = gen.copy()
             for s in basis.blocks:
                 off_block[s, s] = 0.0
             assert not off_block.any()
             # nor does it raise the power of c: c-free rows stay c-free
             for s, f in zip(basis.blocks, basis.c_free):
-                assert not gen.matrix[f, s.start:f.start].any()
+                assert not gen[f, s.start:f.start].any()
             h = eval_basis(basis, state)
-            whole = expm_apply(gen.matrix, 0.8, h)
-            by_block = np.concatenate([expm_apply(gen.matrix[s, s], 0.8, h[s]) for s in basis.blocks])
+            whole = expm_apply(gen, 0.8, h)
+            by_block = np.concatenate([expm_apply(gen[s, s], 0.8, h[s]) for s in basis.blocks])
             np.testing.assert_allclose(by_block, whole, rtol=0, atol=1e-8 * np.abs(whole).max())
 
     def test_linearity(self, params_a02):
@@ -181,6 +181,6 @@ class TestPointwiseOracle:
         u, v = rng.standard_normal((2, basis.size))
         st = State(0.2, 0.9, [0.05])
         h = eval_basis(basis, st)
-        lhs = (u + 2.5 * v) @ (gen.matrix @ h)
-        rhs = u @ (gen.matrix @ h) + 2.5 * (v @ (gen.matrix @ h))
+        lhs = (u + 2.5 * v) @ (gen @ h)
+        rhs = u @ (gen @ h) + 2.5 * (v @ (gen @ h))
         assert lhs == pytest.approx(rhs, rel=1e-12)

@@ -83,7 +83,7 @@ class TestSimulatePaths:
         monkeypatch.delenv("POLYDIV_THREADS")
         assert _worker_count() == len(os.sched_getaffinity(0))
 
-    def test_worker_count_invariance(self, params_a02):
+    def test_worker_count_invariance(self, params_a02, monkeypatch):
         # the pinned-stream config with a started window and stored yields;
         # nu = 0.6 makes the model project paths back onto E
         jump = JumpSpec(lam=1.0, dist=TwoPoint(z1=-0.3, p=0.4, z2=0.25))
@@ -94,10 +94,12 @@ class TestSimulatePaths:
                   "yield_paths")
         dtypes = (np.float64,) * 4 + (np.int64, np.float64)
         for params in (params_a02, dataclasses.replace(params_a02, nu=np.array([0.6]))):
-            b1 = simulate_paths(params, jump, state, cfg, workers=1)
+            monkeypatch.setenv("POLYDIV_THREADS", "1")
+            b1 = simulate_paths(params, jump, state, cfg)
             assert b1.workers == 1
             for workers in (2, 4):
-                bw = simulate_paths(params, jump, state, cfg, workers=workers)
+                monkeypatch.setenv("POLYDIV_THREADS", str(workers))
+                bw = simulate_paths(params, jump, state, cfg)
                 assert bw.workers == min(workers, 3)
                 assert bw.projection_count == b1.projection_count
                 pairs = [(getattr(b1, name), getattr(bw, name), dtype)
@@ -112,7 +114,8 @@ class TestSimulatePaths:
     def test_failing_worker_raises_and_leaves_no_process(self, params_a02, state0,
                                                          monkeypatch):
         cfg = SimConfig(n_paths=2 * BLOCK_SIZE, horizon=0.1, seed=4)
-        bundle = simulate_paths(params_a02, None, state0, cfg, workers=2)
+        monkeypatch.setenv("POLYDIV_THREADS", "2")
+        bundle = simulate_paths(params_a02, None, state0, cfg)
         assert bundle.workers == 2
         assert multiprocessing.active_children() == []
 
@@ -122,13 +125,44 @@ class TestSimulatePaths:
         # the forked workers inherit the patched module
         monkeypatch.setattr(polydiv.mc, "_simulate_block", fail)
         with pytest.raises(RuntimeError, match="block failed"):
-            simulate_paths(params_a02, None, state0, cfg, workers=2)
+            simulate_paths(params_a02, None, state0, cfg)
         assert multiprocessing.active_children() == []
 
-    def test_worker_count_must_be_positive(self, params_a02, state0):
-        with pytest.raises(InvalidParameterError, match="workers >= 1"):
-            simulate_paths(params_a02, None, state0, SimConfig(n_paths=10, horizon=0.1),
-                           workers=0)
+    @staticmethod
+    def _assert_same_paths(one, other):
+        for name in ("terminal_x", "terminal_y", "terminal_c", "disc_div", "jump_counts"):
+            assert getattr(one, name).tobytes() == getattr(other, name).tobytes()
+        for w in one.config.windows:
+            assert one.window_sums[w].tobytes() == other.window_sums[w].tobytes()
+        assert one.projection_count == other.projection_count
+
+    def test_no_affinity_mask_means_every_cpu(self, params_a02, state0, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity
+        cfg = SimConfig(n_paths=2 * BLOCK_SIZE, horizon=0.1, seed=4, windows=((0.0, 0.1),))
+        monkeypatch.setenv("POLYDIV_THREADS", "1")
+        one = simulate_paths(params_a02, None, state0, cfg)
+        monkeypatch.delenv("POLYDIV_THREADS")
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _worker_count() == (os.cpu_count() or 1)
+        bundle = simulate_paths(params_a02, None, state0, cfg)
+        assert bundle.workers == min(os.cpu_count() or 1, 2)
+        self._assert_same_paths(one, bundle)
+
+    def test_no_fork_runs_the_blocks_in_process(self, params_a02, state0, monkeypatch):
+        # Windows has no fork start method
+        cfg = SimConfig(n_paths=2 * BLOCK_SIZE, horizon=0.1, seed=4, windows=((0.0, 0.1),))
+        monkeypatch.setenv("POLYDIV_THREADS", "2")
+        forked = simulate_paths(params_a02, None, state0, cfg)
+        assert forked.workers == 2
+
+        def no_fork(method=None):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        bundle = simulate_paths(params_a02, None, state0, cfg)
+        assert bundle.workers == 1
+        self._assert_same_paths(forked, bundle)
 
     def test_zero_intensity_matches_pure_diffusion(self, params_a02, state0):
         cfg = SimConfig(n_paths=4000, horizon=0.5, seed=13)

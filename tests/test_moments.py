@@ -72,7 +72,7 @@ class TestConditionalMoments:
 
     def test_semigroup_property(self, params_a02, state0):
         basis = build_basis(1, 4)
-        g = build_generator(params_a02, None, basis).matrix
+        g = build_generator(params_a02, None, basis)
         h = eval_basis(basis, state0)
         one_hop = expm_apply(g, 3.0, h)
         two_hop = expm_apply(g, 2.0, expm_apply(g, 1.0, h))
@@ -281,7 +281,7 @@ class TestCumulativeDividendMoments:
         params = random_admissible_params(rng, d)
         state = random_state_in_E(rng, params)
         basis = build_basis(d, 6)
-        g = build_generator(params, jump, basis).matrix
+        g = build_generator(params, jump, basis)
         c_free = np.array([m.i == 0 for m in basis.members])
         h = eval_basis(basis, state)
         for t, t0, t1 in [(0.5, 0.5, 1.5), (0.5, 1.2, 2.2), (0.0, 3.0, 4.0)]:
@@ -342,7 +342,7 @@ class TestAgainstMpmath:
     @pytest.mark.parametrize("T", [1.0, 3.0])
     def test_conditional_moments(self, params_a02, state0, T):
         basis = build_basis(1, 6)
-        g = build_generator(params_a02, TWO_POINT_JUMP, basis).matrix
+        g = build_generator(params_a02, TWO_POINT_JUMP, basis)
         h = eval_basis(basis, state0)
         ref = np.concatenate([_mp_expm_apply(g[s, s], T, h[s]) for s in basis.blocks])
         got = conditional_moments(params_a02, TWO_POINT_JUMP, state0, 0.0, T, 6).values
@@ -361,7 +361,7 @@ class TestAgainstMpmath:
             params = random_admissible_params(rng, d)
             state = random_state_in_E(rng, params)
         basis = build_basis(d, 6)
-        g = build_generator(params, TWO_POINT_JUMP, basis).matrix
+        g = build_generator(params, TWO_POINT_JUMP, basis)
         h = eval_basis(basis, state)
         for T in (1.0, 3.0):
             ref = [_mp_expm_apply(g[f, f], T, h[f])[0] for f in basis.c_free[1:]]
