@@ -52,8 +52,8 @@ class FuturesQuote:
     def __post_init__(self):
         if not self.t1 > self.t0:
             raise MarketDataError(f"{self.id}: window must be ordered, got ({self.t0}, {self.t1})")
-        if not self.quote > 0:
-            raise MarketDataError(f"{self.id}: quote must be positive, got {self.quote}")
+        if not 0 < self.quote < math.inf:
+            raise MarketDataError(f"{self.id}: quote must be positive and finite, got {self.quote}")
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,8 @@ class MarketData:
     dividend_iv: DividendIvQuote = None
 
     def __post_init__(self):
-        if not self.spot > 0:
-            raise MarketDataError(f"spot must be positive, got {self.spot}")
+        if not 0 < self.spot < math.inf:
+            raise MarketDataError(f"spot must be positive and finite, got {self.spot}")
         object.__setattr__(self, "futures", tuple(self.futures))
         if not self.futures and self.stock_iv is None and self.dividend_iv is None:
             raise MarketDataError("market data is empty")

@@ -255,7 +255,10 @@ def _csv_cell(v):
 
 
 def _emit(report, out_dir, csv_files=()):
-    text = json.dumps(report, indent=2, sort_keys=True, default=_encode)
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, default=_encode, allow_nan=False)
+    except ValueError as exc:                 # NaN or infinity, which JSON cannot hold
+        raise NumericError(f"report holds a non-finite number: {exc}") from None
     print(text)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -286,25 +289,18 @@ def _cmd_price_futures(args):
         scale = 1.0
     strip, stock = futures_strip(params, state, 0.0, [(t0, t1) for _, t0, t1, _ in windows],
                                  [max(t1, 0.0) for _, _, t1, _ in windows])
+    columns = ["id", "window_start", "window_end", "dividend_futures", "stock_futures"]
     rows = []
     for (wid, t0, t1, quote), px, sf in zip(windows, scale * strip, scale * stock):
-        row = {"id": wid, "window_start": t0, "window_end": t1,
-               "dividend_futures": float(px), "stock_futures": float(sf)}
+        row = dict(zip(columns, (wid, t0, t1, float(px), float(sf))))
         if quote is not None:
             row["quote"] = quote
             row["abs_error"] = abs(float(px) - quote)
         rows.append(row)
-    csv_rows = [
-        (r["id"], r["window_start"], r["window_end"], r["dividend_futures"], r["stock_futures"])
-        for r in rows
-    ]
-    _emit(
-        _report("price futures", echo, {"spot_scale": scale, "term_structure": rows},
-                started=args._t0),
-        args.out,
-        [("futures_term_structure.csv",
-          ["id", "window_start", "window_end", "dividend_futures", "stock_futures"], csv_rows)],
-    )
+    csv_rows = [[row[c] for c in columns] for row in rows]
+    _emit(_report("price futures", echo, {"spot_scale": scale, "term_structure": rows},
+                  started=args._t0),
+          args.out, [("futures_term_structure.csv", columns, csv_rows)])
     return EXIT_OK
 
 
@@ -336,8 +332,7 @@ def _cmd_price_option(args):
         sweep.append({"n_moments": n, **fit_fields(density, n), "price": price})
     price = sweep[-1]["price"]
     payload = {
-        "spec": {"kind": spec.kind, "underlying": spec.underlying, "strike": spec.strike,
-                 "expiry": spec.expiry, "rate": spec.rate, "window": spec.window},
+        "spec": spec,
         "forward": forward,
         "price": price,
         "moment_sweep": sweep,

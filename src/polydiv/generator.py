@@ -223,11 +223,10 @@ def _generator_template(d, n):
             ak = alpha[k]
             if ak < 2:
                 continue
-            w = 0.5 * ak * (ak - 1)
             down = _add_tuple(alpha, k, -1)
-            add(i, j + 1, down, t_nu + 2 * k, w)
-            for l in range(d):
-                add(i, j, _add_tuple(down, l, 1), t_nu + 2 * k + 1, -w)
+            for dj, gamma, q, cf in _base_power_terms(d, 1):
+                aa = tuple(down[l] + gamma[l] for l in range(d))
+                add(i, j + dj, aa, t_nu + 2 * k + q, 0.5 * ak * (ak - 1) * cf)
 
         # compensated jumps: only powers m >= 2 of the jump size survive the
         # cancellation against -f and the compensator drift

@@ -179,7 +179,7 @@ def _start_points(mu, s0):
     return [exp_start, gauss]
 
 
-def _dual_newton(mu, nodes, weights, gamma0):
+def _dual_newton(mu, nodes, weights, gamma0, m0, s0):
     """Damped Newton iteration on the convex dual of the moment problem.
 
     The exponent polynomial is parametrized in mean-centered, std-scaled
@@ -189,13 +189,9 @@ def _dual_newton(mu, nodes, weights, gamma0):
     under this affine change, but the linear solves are not, which is the
     whole point.  Residuals are always measured on the raw moments ``mu``.
 
-    Returns (lam_scaled including lam_0, gamma, iterations, residual).
+    Returns (lam_scaled including lam_0, gamma, log_z, iterations, residual).
     """
     n = mu.size
-    if n >= 2 and mu[1] - mu[0] ** 2 > 0:
-        m0, s0 = mu[0], math.sqrt(mu[1] - mu[0] ** 2)
-    else:
-        m0, s0 = 0.0, 1.0
     z = (nodes - m0) / s0
     zpow = z[:, None] ** np.arange(2 * n + 1)[None, :]
     upow = nodes[:, None] ** np.arange(1, n + 1)[None, :]
@@ -276,7 +272,7 @@ def _dual_newton(mu, nodes, weights, gamma0):
     lam = np.empty(n + 1)
     lam[1:] = chg[1:, 1:].T @ gamma
     lam[0] = log_z + chg[1:, 0] @ gamma
-    return lam, (gamma, m0, s0, log_z), it, residual
+    return lam, gamma, log_z, it, residual
 
 
 @single_thread
@@ -325,7 +321,9 @@ def fit_maxent(moments, start=None):
 
     rejected = None      # (error, nodes) of the last fit the refined rule rejected
     warm = None if start is None else start.gamma
-    s0 = math.sqrt(mu[1] - mu[0] ** 2) if n >= 2 and mu[1] > mu[0] ** 2 else 1.0
+    # the exponent polynomial's standardized coordinate z = (u - m0)/s0
+    var = mu[1] - mu[0] ** 2 if n >= 2 else 0.0
+    m0, s0 = (mu[0], math.sqrt(var)) if var > 0 else (0.0, 1.0)
     for nodes_count in (_FIT_NODES, 2 * _FIT_NODES, 4 * _FIT_NODES):
         panels = _quad_rule(center, width, nodes_count, lo=lo)
         u, w = _panel_nodes(panels)
@@ -333,21 +331,21 @@ def fit_maxent(moments, start=None):
         best = np.inf
         starts = ([warm] if warm is not None else []) + _start_points(mu, s0)
         for gamma0 in starts:
-            lam_scaled, zrep, iters, residual = _dual_newton(mu, u, w, gamma0)
-            best = min(best, residual)
-            if residual <= _VERIFY_TOL:
-                converged = (lam_scaled, zrep, iters, residual)
+            fit = _dual_newton(mu, u, w, gamma0, m0, s0)
+            best = min(best, fit[-1])
+            if fit[-1] <= _VERIFY_TOL:
+                converged = fit
                 break
         if converged is None:
             # Newton failed from every start; more nodes will not help
             break
-        lam_scaled, (gamma, m0, s0_fit, log_z), iters, residual = converged
+        lam_scaled, gamma, log_z, iters, residual = converged
         warm = gamma
         # verify the matched moments against a refined quadrature rule,
         # evaluating through the standardized coefficients for stability
         # (Horner's rule, as MaxEntDensity.pdf does)
         u2, w2 = _panel_nodes(_quad_rule(center, width, 2 * nodes_count, lo=lo))
-        z2 = (u2 - m0) / s0_fit
+        z2 = (u2 - m0) / s0
         phi = w2 * np.exp(-(log_z + polyval(z2, np.concatenate(([0.0], gamma)))))
         mom2 = phi @ np.cumprod(np.broadcast_to(u2[:, None], (u2.size, n)), axis=1)
         err2 = np.max(np.abs(mom2 - mu) / np.maximum(np.abs(mu), 1e-300))
@@ -366,7 +364,7 @@ def fit_maxent(moments, start=None):
                 residual=float(residual),
                 gamma=gamma.copy(),
                 z_center=float(m0),
-                z_scale=float(s0_fit),
+                z_scale=float(s0),
                 log_norm=float(log_z),
                 support_lo=float(lo * scale),
             )

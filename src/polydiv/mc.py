@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, InvalidParameterError
-from .model import PointMass, State, in_state_space, require_admissible
+from .model import PointMass, State, in_state_space, jump_moment, require_admissible
 from .moments import dividend_futures, stock_futures
 
 BLOCK_SIZE = 4096          # paths per RNG block; fixed for reproducibility
@@ -119,7 +119,7 @@ def _simulate_block(params, jump, state0, n_steps, dt, window_idx, rng, store_yi
     jumps_on = jump is not None and jump.active
     if jumps_on:
         lam, dist = jump.lam, jump.dist
-        m1 = dist.moment(1)
+        m1 = jump_moment(jump, 1)
 
     x = np.full(n, float(state0.x))
     y = np.tile(np.asarray(state0.y, dtype=float), (n, 1))

@@ -12,6 +12,7 @@ the inequalities (involving the volatility loadings nu) guarantee the
 factor and cap boundaries are never touched.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,9 +79,9 @@ def _check_structure(params):
         raise InvalidParameterError(f"nu must have shape ({d},), got {params.nu.shape}")
     if np.any(params.nu < 0):
         raise InvalidParameterError("volatility loadings nu must be non-negative")
-    for arr in (params.b, params.beta, params.nu):
-        if not np.all(np.isfinite(arr)):
-            raise InvalidParameterError("non-finite parameter value")
+    if not np.isfinite(np.concatenate(
+            ([params.r, params.a, params.sigma], params.b, params.beta.ravel(), params.nu))).all():
+        raise InvalidParameterError("non-finite parameter value")
 
 
 @dataclass(frozen=True)
@@ -90,11 +91,8 @@ class PointMass:
     z0: float
 
     def __post_init__(self):
-        if not self.z0 > -1.0:
+        if not -1.0 < self.z0 < np.inf:
             raise InvalidParameterError(f"jump support must lie in (-1, inf), got {self.z0}")
-
-    def moment(self, m):
-        return self.z0 ** m
 
     def points(self):
         return ((self.z0, 1.0),)
@@ -111,11 +109,8 @@ class TwoPoint:
     def __post_init__(self):
         if not (0.0 <= self.p <= 1.0):
             raise InvalidParameterError(f"probability p must be in [0, 1], got {self.p}")
-        if not (self.z1 > -1.0 and self.z2 > -1.0):
+        if not (-1.0 < self.z1 < np.inf and -1.0 < self.z2 < np.inf):
             raise InvalidParameterError("jump support must lie in (-1, inf)")
-
-    def moment(self, m):
-        return self.p * self.z1 ** m + (1.0 - self.p) * self.z2 ** m
 
     def points(self):
         return ((self.z1, self.p), (self.z2, 1.0 - self.p))
@@ -133,8 +128,8 @@ class JumpSpec:
     dist: PointMass | TwoPoint | None = None
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise InvalidParameterError(f"jump intensity must be non-negative, got {self.lam}")
+        if not 0 <= self.lam < np.inf:
+            raise InvalidParameterError(f"jump intensity must be finite and non-negative, got {self.lam}")
 
     @property
     def active(self):
@@ -142,14 +137,14 @@ class JumpSpec:
 
 
 def jump_moment(jump, m):
-    """Raw moment E[z^m] of the jump-size distribution (m >= 0, m_0 = 1)."""
+    """Raw moment E[z^m] over the points of the jump-size law (m >= 0, m_0 = 1)."""
     if m < 0 or int(m) != m:
         raise InvalidParameterError(f"moment order must be a non-negative integer, got {m}")
     if jump is None or jump.dist is None:
         raise InvalidParameterError("no jump distribution specified")
     if m == 0:
         return 1.0
-    return float(jump.dist.moment(int(m)))
+    return float(sum(w * z ** int(m) for z, w in jump.dist.points()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,6 +157,8 @@ class State:
 
     def __post_init__(self):
         object.__setattr__(self, "y", np.atleast_1d(np.asarray(self.y, dtype=float)))
+        if not (math.isfinite(self.c) and math.isfinite(self.x) and np.isfinite(self.y).all()):
+            raise InvalidParameterError(f"non-finite state c={self.c}, x={self.x}, y={self.y}")
 
 
 @dataclass(frozen=True, eq=False)

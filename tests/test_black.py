@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import polydiv
-from polydiv.black import black76_price, black_scholes_price, implied_vol
+from polydiv.black import VOL_CAP, black76_price, black_scholes_price, implied_vol
 from polydiv.errors import DomainError, InvalidParameterError
 
 
@@ -83,6 +83,20 @@ class TestImpliedVol:
             implied_vol(-0.5, 100, 100, 1.0, 0.0)
         with pytest.raises(DomainError):
             implied_vol(101.0, 100, 100, 1.0, 0.0)
+
+    @pytest.mark.parametrize("vol", [0.2, 0.8, 3.0])
+    def test_put_round_trip(self, vol):
+        # above 0.5 the bracket is doubled until it holds the root
+        price = black_scholes_price(100, 95, 0.5, vol, 0.02, kind="put")
+        iv = implied_vol(price, 100, 95, 0.5, 0.02, kind="put")
+        assert iv == pytest.approx(vol, rel=1e-10)
+
+    def test_vol_above_cap_rejected(self):
+        # short expiry keeps the price at 1.25 * VOL_CAP inside the no-arbitrage band
+        price = black76_price(1.0, 1.0, 0.01, 1.25 * VOL_CAP, 0.0)
+        assert price < 1.0
+        with pytest.raises(DomainError, match="exceeds cap"):
+            implied_vol(price, 1.0, 1.0, 0.01, 0.0, "black76")
 
     def test_market_quote_round_trip(self):
         # the December-2015 stock quote: IV 0.2295 at three months ATM

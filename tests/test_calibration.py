@@ -21,8 +21,8 @@ from polydiv.calibration import (
     pricing_errors,
 )
 from polydiv.cli import parse_market_csv
-from polydiv.errors import (DomainError, InadmissibleParamsError, InvalidParameterError,
-                            MarketDataError, NumericError)
+from polydiv.errors import (CalibrationError, DomainError, InadmissibleParamsError,
+                            InvalidParameterError, MarketDataError, NumericError)
 from polydiv.model import ModelParams, State
 from polydiv.moments import dividend_futures
 
@@ -453,3 +453,25 @@ class TestCalibrate:
         market = synthetic_market(include_ivs=False, n_futures=4)
         res = calibrate(market, CalibConfig(max_evals=600))
         assert [s["unpriced"] for s in res.trace["stages"]] == [1]
+
+    def test_unpriceable_first_evaluation_raises(self, monkeypatch):
+        # with nothing priced yet there is no misfit to hand the optimizer:
+        # the start's error ends the calibration, and nothing else is priced
+        calls = []
+        original = calibration.pricing_errors
+
+        def fails_first(*args):
+            calls.append(1)
+            if len(calls) == 1:
+                raise NumericError("unpriceable start")
+            return original(*args)
+
+        monkeypatch.setattr(calibration, "pricing_errors", fails_first)
+        with pytest.raises(NumericError, match="unpriceable start"):
+            calibrate(synthetic_market(include_ivs=False, n_futures=2), CalibConfig(max_evals=200))
+        assert len(calls) == 1
+
+    def test_no_futures_and_no_start_level_rejected(self):
+        market = MarketData("2015-12-21", SPOT, (), StockIvQuote(0.2, 0.25))
+        with pytest.raises(CalibrationError, match="without futures quotes"):
+            calibrate(market, CalibConfig())

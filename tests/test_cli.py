@@ -8,8 +8,8 @@ import pytest
 import scipy
 
 from polydiv import _blas
-from polydiv.cli import _encode, parse_market_csv, parse_model_config, run
-from polydiv.errors import ConfigError, InadmissibleParamsError, MarketDataError
+from polydiv.cli import _emit, _encode, parse_market_csv, parse_model_config, run
+from polydiv.errors import ConfigError, InadmissibleParamsError, MarketDataError, NumericError
 from polydiv.maxent import OptionSpec, price_stock_option
 from polydiv.model import ModelParams, validate_admissibility
 from polydiv.moments import dividend_futures, stock_futures
@@ -41,14 +41,20 @@ def write_config(tmp_path, **overrides):
     return str(path)
 
 
+CSV_HEADER = "instrument,type,window_start,window_end,expiry,quote"
+DF1_ROW = "DF1,dividend_future,2015-12-18,2016-12-16,2016-12-16,115.3"
+DATED = ["--spot", "100", "--valuation-date", "2015-12-21"]
+
+
+def market_text(*rows, header=CSV_HEADER):
+    return "\n".join((header,) + rows) + "\n"
+
+
 def write_market_with_meta(tmp_path, meta_text):
     """One-row market CSV whose spot and valuation date come from a sibling JSON."""
     (tmp_path / "market.json").write_text(meta_text)
     path = tmp_path / "market.csv"
-    path.write_text(
-        "instrument,type,window_start,window_end,expiry,quote\n"
-        "DF1,dividend_future,2015-12-18,2016-12-16,2016-12-16,115.3\n"
-    )
+    path.write_text(market_text(DF1_ROW))
     return str(path)
 
 
@@ -56,6 +62,14 @@ def run_json(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def run_rejected(capsys, argv):
+    """Run a command that must fail on its input: exit 3, nothing on stdout."""
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    return json.loads(captured.err)["error"]
 
 
 class TestModelConfig:
@@ -246,6 +260,24 @@ class TestCommands:
         assert header == ["n_moments", "moments_used", "newton_iterations", "residual",
                           "nodes", "top_coefficient", "cut_log_pdf_ratio", "price"]
 
+    def test_calibrate_out_writes_the_table(self, config_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        market = tmp_path / "market.csv"
+        market.write_text(market_text(
+            DF1_ROW, "DF2,dividend_future,2016-12-16,2017-12-15,2017-12-15,108.7"))
+        code = run(["calibrate", "--config", config_path, "--market", str(market), *DATED,
+                    "--max-evals", "200", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""      # the table goes to the file alone
+        report = json.loads((out / "report.json").read_text())
+        assert report["payload"] == json.loads(captured.out)["payload"]
+        table = (out / "calibration_table.txt").read_text().splitlines()
+        assert table[0].split() == ["instrument", "market", "model", "abs", "error"]
+        assert [line.split()[0] for line in table[1:3]] == ["DF1", "DF2"]
+        assert table[4].split() == ["a", "b", "beta", "sigma", "nu1", "D0"]
+        assert float(table[5].split()[-1]) == pytest.approx(report["payload"]["fitted"]["d0"],
+                                                            abs=1e-4)
+
     def test_calibrate_reports_each_fit(self, config_path, capsys):
         code, report = run_json(
             capsys, ["calibrate", "--config", config_path, "--market", BUNDLED_CSV,
@@ -410,6 +442,97 @@ class TestCommands:
         mc = report["payload"]["mc"]
         assert mc["ci_low"] <= report["payload"]["price"] <= mc["ci_high"]
         assert mc["workers"] == 1                   # 4000 paths are one block
+
+
+class TestRejectedInputs:
+    # each case: the config (a dict, raw text, or None for an absent file), and
+    # with "market" a market CSV (None: absent) passed with "flags" (default DATED)
+    @pytest.mark.parametrize("case,fragment", [
+        pytest.param({"config": None}, "config file not found", id="config_not_found"),
+        pytest.param({"config": '{"r": 0.01,'}, "config is not valid JSON", id="config_json"),
+        pytest.param({"config": "[0.01, 0.2]"}, "must be a JSON object", id="config_not_object"),
+        pytest.param({"config": {**GOOD_CONFIG, "jump_dist": {"type": "gamma"}}},
+                     "unknown jump_dist type", id="jump_type"),
+        pytest.param({"config": {**GOOD_CONFIG, "jump_dist": {"type": "point_mass"}}},
+                     "invalid jump_dist", id="jump_dist_malformed"),
+        pytest.param({"config": {**GOOD_CONFIG, "jump_dist": {"type": "point_mass", "z0": -2}}},
+                     "invalid jump specification", id="jump_spec"),
+        pytest.param({"config": {**GOOD_CONFIG, "x0": "one"}}, "invalid initial state",
+                     id="state"),
+        pytest.param({"config": {**GOOD_CONFIG, "y0": [0.02, 0.01]}}, "y0 must have length d=1",
+                     id="y0_length"),
+        pytest.param({"market": None}, "market file not found", id="market_not_found"),
+        pytest.param({"market": market_text(DF1_ROW, header="id,type,start,end,expiry,quote")},
+                     "bad header", id="market_header"),
+        pytest.param({"market": market_text(DF1_ROW), "flags": []},
+                     "spot and valuation_date are required", id="no_spot_or_date"),
+        pytest.param({"market": market_text(DF1_ROW),
+                      "flags": ["--spot", "100", "--valuation-date", "2015-13-45"]},
+                     "bad valuation date", id="valuation_date"),
+        pytest.param({"market": market_text(DF1_ROW.replace("2016-12-16", "2016-13-16", 1))},
+                     "row 2: bad ISO date", id="row_date"),
+        pytest.param({"market": market_text("DF1,dividend_future,2015-12-18,2016-12-16,115.3")},
+                     "row 2: expected 6 cells, got 5", id="cell_count"),
+        pytest.param({"market": market_text(DF1_ROW, "SW1,swap,,,2016-12-16,1.0")},
+                     "row 3: unknown instrument type 'swap'", id="instrument_type"),
+        pytest.param({"market": market_text(
+            DF1_ROW, "IVDIV,dividend_iv,2016-12-16,2017-12-15,2017-12-15,0.05")},
+                     "row 3: dividend IV window matches no futures quote", id="div_iv_window"),
+    ])
+    def test_malformed_input_exits_three(self, tmp_path, capsys, case, fragment):
+        config = case.get("config", GOOD_CONFIG)
+        if config is not None:
+            text = config if isinstance(config, str) else json.dumps(config)
+            (tmp_path / "model.json").write_text(text)
+        argv = ["price", "futures", "--config", str(tmp_path / "model.json")]
+        if "market" in case:
+            argv += ["--market", str(tmp_path / "market.csv"), *case.get("flags", DATED)]
+            if case["market"] is not None:
+                (tmp_path / "market.csv").write_text(case["market"])
+        err = run_rejected(capsys, argv)
+        assert fragment in err["message"]
+
+    @pytest.mark.parametrize("command", [["validate"], ["simulate", "--paths", "10"]])
+    @pytest.mark.parametrize("overrides", [
+        {"sigma": math.nan}, {"r": math.inf}, {"x0": math.inf}, {"c0": math.nan},
+        {"lambda": 0.5, "jump_dist": {"type": "point_mass", "z0": math.inf}},
+        {"lambda": math.inf, "jump_dist": {"type": "point_mass", "z0": -0.3}},
+    ], ids=["sigma_nan", "r_inf", "x0_inf", "c0_nan", "z0_inf", "lambda_inf"])
+    def test_non_finite_model_number_exits_three(self, tmp_path, capsys, command, overrides):
+        path = write_config(tmp_path, **overrides)
+        err = run_rejected(capsys, [command[0], "--config", path, *command[1:]])
+        assert err["type"] == "ConfigError"
+
+    @pytest.mark.parametrize("meta,flags,row", [
+        ("", DATED, DF1_ROW.replace("115.3", "inf")),
+        ('{"spot": Infinity, "valuation_date": "2015-12-21"}', [], DF1_ROW),
+        ('{"spot": 100, "valuation_date": "2015-12-21"}', ["--spot", "inf"], DF1_ROW),
+    ], ids=["quote", "sibling_spot", "flag_spot"])
+    def test_non_finite_market_number_exits_three(self, config_path, tmp_path, capsys, meta,
+                                                  flags, row):
+        if meta:
+            (tmp_path / "market.json").write_text(meta)
+        (tmp_path / "market.csv").write_text(market_text(row))
+        err = run_rejected(capsys, ["calibrate", "--config", config_path,
+                                    "--market", str(tmp_path / "market.csv"), *flags])
+        assert err["type"] == "MarketDataError" and "positive and finite" in err["message"]
+
+
+class TestEmit:
+    def test_non_finite_payload_is_a_numeric_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(NumericError, match="non-finite"):
+            _emit({"payload": {"price": float("nan")}}, str(out))
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
+    def test_non_finite_payload_exits_four(self, config_path, capsys, monkeypatch):
+        monkeypatch.setattr("polydiv.cli.futures_strip",
+                            lambda *args: (np.full(10, np.nan), np.ones(10)))
+        code = run(["price", "futures", "--config", config_path])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (4, "")
+        assert json.loads(captured.err)["error"]["type"] == "NumericError"
 
 
 class TestEncode:

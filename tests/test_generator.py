@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -112,6 +113,39 @@ class TestGeneratorMatrix:
                                            beta=-0.3439, nu=0.05)
         g2 = build_generator(bumped, None, basis)
         np.testing.assert_array_equal(g1, g2)
+
+
+# sha256 of build_generator(...).tobytes() at n = 6 on pinned_params(d), one
+# digest per jump of PINNED_JUMPS, recorded before the factor diffusion was
+# routed through _base_power_terms and the jump moments through the law's
+# points: neither edit moved a bit, and no later one should
+PINNED_DIGESTS = {
+    1: ("397a6dc14d18ec7dfdb084bb14fd57e3173d54a43967678319d6928f679964f4",
+        "74a1fa5467a3453645b31e4f6a0aebdaf64e942d49d406c998d98cd74ddaf1e6",
+        "82ae28ef922d8de894fecaefde1372a9f7a4d006ce8e5975b5cb84dc863e6f15"),
+    2: ("0a8e5042428c78208aa11cdeb388a422ee4572b3cff4ace1e5e47ee7bece6752",
+        "7a16fc66ec560de5945556eee54f69225f2e1254dd79baab6cba5dbf356c55c3",
+        "08ddf7b348fcf0230033611f9045b8cc0af328152757e1063ef210cbc1d19301"),
+    3: ("58b726cef65627d7bf22c184e80b02c21c0b3dff198c2ea8c412371e8743fad4",
+        "fc12e656fd0e175f5c26b89c46cb06542e6c0a16be6c4fa53c1c2879388b68fb",
+        "d8fe0237fc62b81f1498de3e5b7a43aaf9928aa4b3af41709c13210e2a9a1bac"),
+}
+PINNED_JUMPS = (None, JumpSpec(lam=0.8, dist=PointMass(-0.4)),
+                JumpSpec(lam=1.5, dist=TwoPoint(z1=-0.5, p=0.35, z2=0.7)))
+
+
+def pinned_params(d):
+    beta = [[-0.5, 0.03, -0.02], [0.01, -0.45, 0.02], [0.02, -0.01, -0.4]]
+    return ModelParams(r=0.01, a=0.2, sigma=0.28, d=d, b=[0.008, 0.01, 0.006][:d],
+                       beta=[row[:d] for row in beta[:d]], nu=[0.02, 0.03, 0.025][:d])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_generator_bits_are_pinned(d):
+    basis = build_basis(d, 6)
+    digests = tuple(hashlib.sha256(build_generator(pinned_params(d), jump, basis).tobytes())
+                    .hexdigest() for jump in PINNED_JUMPS)
+    assert digests == PINNED_DIGESTS[d]
 
 
 class TestPointwiseOracle:
