@@ -16,12 +16,13 @@ import os
 import threading
 
 _LOCK = threading.Lock()
-_libs = None     # (file name, openblas_set_num_threads_local) per library, found lazily
 _saved = []      # the counts the outermost scope found
 _depth = 0
 
 
-def _discover():
+@functools.cache
+def _found():
+    """(file name, openblas_set_num_threads_local) per library; call with ``_LOCK`` held."""
     try:
         with open("/proc/self/maps") as fh:
             fields = [line.rstrip("\n").split(maxsplit=5) for line in fh]
@@ -36,14 +37,6 @@ def _discover():
         setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
         libs.append((os.path.basename(path), setter))
     return tuple(libs)
-
-
-def _found():
-    """The libraries, discovered on first use.  Call with ``_LOCK`` held."""
-    global _libs
-    if _libs is None:
-        _libs = _discover()
-    return _libs
 
 
 def libraries():
@@ -68,6 +61,6 @@ def single_thread(fn):
             with _LOCK:
                 _depth -= 1
                 if _depth == 0:
-                    for (_, setter), count in zip(_libs, _saved):
+                    for (_, setter), count in zip(_found(), _saved):
                         setter(count)
     return scoped

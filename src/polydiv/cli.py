@@ -67,6 +67,18 @@ def _fmt(v):
     return f"{float(v):.17g}"
 
 
+def _number(value, name):
+    """``value``, a JSON number or a list (of lists) of them.  A boolean or a
+    string is a ``TypeError``: ``float()`` and numpy would read it as 1.0,
+    0.0 or the number it spells."""
+    if isinstance(value, list):
+        for item in value:
+            _number(item, name)
+    elif isinstance(value, (bool, str)):
+        raise TypeError(f"{name} must be a JSON number, got {value!r}")
+    return value
+
+
 def parse_model_config(path, require_admissible=True):
     """Read a model config JSON into (params, jump, state).
 
@@ -94,6 +106,8 @@ def parse_model_config(path, require_admissible=True):
         raise ConfigError(f"missing config keys: {sorted(missing)}")
 
     try:
+        for key in ("r", "a", "sigma", "d", "b", "beta", "nu"):
+            _number(raw[key], key)
         params = ModelParams(
             r=float(raw["r"]), a=float(raw["a"]), sigma=float(raw["sigma"]),
             d=raw["d"], b=raw["b"], beta=raw["beta"], nu=raw["nu"],
@@ -106,18 +120,20 @@ def parse_model_config(path, require_admissible=True):
         if jd is None:
             dist = None
         elif jd.get("type") == "point_mass":
-            dist = PointMass(z0=float(jd["z0"]))
+            dist = PointMass(z0=float(_number(jd["z0"], "z0")))
         elif jd.get("type") == "two_point":
-            dist = TwoPoint(z1=float(jd["z1"]), p=float(jd["p"]), z2=float(jd["z2"]))
+            dist = TwoPoint(**{key: float(_number(jd[key], key)) for key in ("z1", "p", "z2")})
         else:
             raise ConfigError(f"unknown jump_dist type: {jd!r}")
-        jump = JumpSpec(lam=float(raw["lambda"]), dist=dist)
+        jump = JumpSpec(lam=float(_number(raw["lambda"], "lambda")), dist=dist)
     except (TypeError, KeyError, AttributeError) as exc:
         raise ConfigError(f"invalid jump_dist: {exc}")
     except InvalidParameterError as exc:
         raise ConfigError(f"invalid jump specification: {exc}")
 
     try:
+        for key in ("c0", "x0", "y0"):
+            _number(raw[key], key)
         state = State(c=float(raw["c0"]), x=float(raw["x0"]), y=raw["y0"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid initial state: {exc}")
@@ -176,7 +192,7 @@ def parse_market_csv(path, spot=None, valuation_date=None):
     except ValueError:
         raise MarketDataError(f"bad valuation date {valuation_date!r}")
     try:
-        spot = float(spot)
+        spot = float(_number(spot, "spot"))
     except (TypeError, ValueError):
         raise MarketDataError(f"spot must be a number, got {spot!r}")
 
@@ -414,11 +430,8 @@ def _cmd_simulate(args):
         }
         times = np.arange(bundle.yield_paths.shape[1]) * bundle.dt
         header = ["time"] + [f"path_{k}" for k in range(bundle.yield_paths.shape[0])]
-        rows = [
-            tuple([times[i]] + [bundle.yield_paths[k, i] for k in range(bundle.yield_paths.shape[0])])
-            for i in range(times.size)
-        ]
-        csv_files.append(("yield_paths.csv", header, rows))
+        csv_files.append(("yield_paths.csv", header,
+                          np.column_stack((times, bundle.yield_paths.T))))
     _emit(_report("simulate", echo, payload, seed=cfg.seed, started=args._t0), args.out, csv_files)
     return EXIT_OK
 

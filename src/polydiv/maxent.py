@@ -13,25 +13,24 @@ node set before a fit is accepted.
 
 Neither the moments of an option's underlying nor their fits depend on
 the strike, so repeated prices on one underlying (a strike grid, a
-moment-count sweep) reuse them.  The moments come from one record, of the
+moment-count sweep) reuse them.  The moments come from ``_record``, of the
 underlying priced last (the model, jump and state numbers): since the
 generator never mixes degrees, a larger moment count extends a line's
 vector by degree and a smaller one reads its prefix, and the record's
-lines (horizons and windows) share each exponential.  Fits go through a
-small memo keyed by the exact bytes of a moment vector, which remembers a
-fit that failed to converge.  Prices are bit-identical to cold calls.
+lines share each exponential.  Cold fits go through ``_cold_fit``, an LRU
+cache keyed by the exact bytes of a moment vector, which holds a failed
+fit too.  Prices are bit-identical to cold calls.
 
 A fit may also start from an earlier density with the same moment count
 (``fit_maxent(m, start=...)``): calibration prices each trial point next
 to one it just priced, and Newton from that neighbour's coefficients
 takes a few steps instead of dozens.  Such a fit depends on its start, so
-it skips the memo; cold prices stay bit-identical.
+it skips the cache; cold prices stay bit-identical.
 """
 
 import math
 import numbers
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -50,10 +49,8 @@ _SUPPORT_WIDTHS = 30.0   # lower support cut for concentrated densities
 _FIT_NODES = 800         # first quadrature size; doubled (up to 4x) if the check fails
 _NEWTON_ITERS, _NEWTON_TOL = 200, 1e-12
 _VERIFY_TOL = 1e-10      # accepted residual, also on the refined rule
-_MEMO_SIZE = 8           # fits held: the moment counts of one underlying
-_MEMO_LOCK = threading.Lock()
-_MOMENT_MEMO = {}        # at most one entry: the record of the underlying priced last
-_FIT_MEMO = OrderedDict()
+_MEMO_SIZE = 8           # cold fits held: the moment counts of one underlying
+_MEMO_LOCK = threading.Lock()   # guards swapping and extending ``_record``
 
 
 @dataclass(frozen=True, eq=False)
@@ -445,24 +442,13 @@ def option_payoff(kind, strike):
     return lambda x: np.maximum(strike - x, 0.0)
 
 
-def _memo(memo, key, compute):
-    """``compute()`` through a bounded LRU memo, a ``ConvergenceError`` included."""
-    with _MEMO_LOCK:
-        value = memo.get(key)
-        if value is not None:
-            memo.move_to_end(key)
-    if value is None:
-        try:
-            value = compute()
-        except ConvergenceError as exc:
-            value = exc
-        with _MEMO_LOCK:
-            memo[key] = value
-            while len(memo) > _MEMO_SIZE:
-                memo.popitem(last=False)
-    if isinstance(value, ConvergenceError):
-        raise ConvergenceError(*value.args)
-    return value
+@lru_cache(maxsize=_MEMO_SIZE)
+def _cold_fit(key):
+    """A cold fit of the moments with bytes ``key``, or the ``ConvergenceError`` it raised."""
+    try:
+        return fit_maxent(np.frombuffer(key))
+    except ConvergenceError as exc:
+        return exc
 
 
 def fit_fields(density, n_moments):
@@ -483,22 +469,20 @@ def fit_fields(density, n_moments):
             "cut_log_pdf_ratio": float(polyval(z_mean, exponent) - polyval(z_cut, exponent))}
 
 
-def _underlying_key(params, jump, state):
-    """The model, jump and state by value: arrays can change in place."""
-    return (params.r, params.a, params.sigma, params.d, params.b.tobytes(),
-            params.beta.tobytes(), params.nu.tobytes(), jump,
-            state.c, state.x, state.y.tobytes())
-
-
 @dataclass(eq=False)
 class _Record:
-    """One pass over the lines of one underlying: each line's moments by
+    """One pass over the lines of one underlying: the model, jump and state by
+    value (``key``: arrays can change in place), each line's moments by
     (dt, window), extended by degree, and the exponentials its lines share
     (see ``moments._power_moments``).  ``last`` is the line priced last."""
 
+    key: tuple
     moments: dict = field(default_factory=dict)
     held: dict = field(default_factory=dict)
     last: tuple = None
+
+
+_record = _Record(None)   # of the underlying priced last; swapped, never cleared
 
 
 @single_thread
@@ -535,13 +519,14 @@ def _option_inputs(params, jump, state, spec, n_moments):
         line = (max(t0, 0.0), t1 - max(t0, 0.0))
         strike -= state.c if t0 < 0 else 0.0
 
-    key = _underlying_key(params, jump, state)
+    global _record
+    key = (params.r, params.a, params.sigma, params.d, params.b.tobytes(),
+           params.beta.tobytes(), params.nu.tobytes(), jump,
+           state.c, state.x, state.y.tobytes())
     with _MEMO_LOCK:
-        record = _MOMENT_MEMO.get(key)
-        if record is None or (line != record.last and line in record.moments):
-            record = _Record()
-            _MOMENT_MEMO.clear()
-            _MOMENT_MEMO[key] = record
+        record = _record
+        if record.key != key or (line != record.last and line in record.moments):
+            record = _record = _Record(key)
         record.last = line
         raw = record.moments.get(line, np.empty(0))
         if raw.size < n_moments:
@@ -563,7 +548,7 @@ def price_option(params, jump, state, spec, n_moments, start=None):
     count is numerically unfittable (densities extremely concentrated
     relative to their mean), the fit falls back to fewer moments, never
     below two.  ``start`` (a density or ``None``) seeds the fit of its own
-    moment count, outside the memo; other counts fit cold.
+    moment count, outside the cache; other counts fit cold.
     """
     raw_moments, strike, discount = _option_inputs(params, jump, state, spec, n_moments)
     payoff = option_payoff(spec.kind, strike)
@@ -576,7 +561,9 @@ def price_option(params, jump, state, spec, n_moments, start=None):
             if start is not None and start.moments.size == m.size:
                 density = fit_maxent(m, start=start)
             else:
-                density = _memo(_FIT_MEMO, m.tobytes(), lambda: fit_maxent(m))
+                density = _cold_fit(m.tobytes())
+                if isinstance(density, ConvergenceError):
+                    raise ConvergenceError(*density.args)
             break
         except ConvergenceError:
             if count == 2:

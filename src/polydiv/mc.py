@@ -42,8 +42,8 @@ class SimConfig:
             raise InvalidParameterError(f"need n_paths >= 1, got {self.n_paths}")
         if self.steps_per_year < 1:
             raise InvalidParameterError(f"need steps_per_year >= 1, got {self.steps_per_year}")
-        if not self.horizon > 0:
-            raise InvalidParameterError(f"need horizon > 0, got {self.horizon}")
+        if not 0 < self.horizon < math.inf:
+            raise InvalidParameterError(f"need a finite horizon > 0, got {self.horizon}")
         if self.store_policy not in ("terminal", "full"):
             raise InvalidParameterError(f"unknown store policy {self.store_policy!r}")
         object.__setattr__(self, "windows", tuple((float(a), float(b)) for a, b in self.windows))

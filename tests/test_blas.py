@@ -4,7 +4,6 @@ back its own thread count afterwards."""
 import contextlib
 import sys
 import threading
-from collections import OrderedDict
 
 import pytest
 
@@ -49,8 +48,8 @@ def caller_count(n):
 @pytest.fixture
 def cold_memo(monkeypatch):
     def clear():
-        monkeypatch.setattr(maxent, "_MOMENT_MEMO", OrderedDict())
-        monkeypatch.setattr(maxent, "_FIT_MEMO", OrderedDict())
+        monkeypatch.setattr(maxent, "_record", maxent._Record(None))
+        maxent._cold_fit.cache_clear()
     clear()
     return clear
 
@@ -176,8 +175,7 @@ def test_nothing_found_leaves_prices_unchanged(monkeypatch, cold_memo):
                 price_dividend_option(p, None, st, _dividend_spec(p), 5)]
     # the caller runs one thread itself, so both sides do the same arithmetic
     with caller_count(1):
-        monkeypatch.setattr(_blas, "_libs", None)
-        monkeypatch.setattr(_blas, "_discover", lambda: ())
+        monkeypatch.setattr(_blas, "_found", lambda: ())
         cold_memo()
         got = [price_stock_option(p, None, st, _stock_spec(p), 5),
                price_dividend_option(p, None, st, _dividend_spec(p), 5)]

@@ -1,6 +1,5 @@
 import math
 import os
-from collections import OrderedDict
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -184,8 +183,8 @@ class TestSnapshotFitPricing:
         for module in (moments, generator):
             monkeypatch.setattr(module, "require_admissible", counted_check)
         monkeypatch.setattr(moments, "expm", counted_expm)
-        monkeypatch.setattr(maxent, "_MOMENT_MEMO", OrderedDict())
-        monkeypatch.setattr(maxent, "_FIT_MEMO", OrderedDict())
+        monkeypatch.setattr(maxent, "_record", maxent._Record(None))
+        maxent._cold_fit.cache_clear()
         rows = pricing_errors(res.params, res.d0, market, 6)
         assert len(rows) == market.n_instruments
         assert counts == {"checks": checks, "exponentials": exponentials}
@@ -401,7 +400,7 @@ class TestCalibrate:
             fits.append((start is not None, density.iterations))
             return density
 
-        maxent._FIT_MEMO.clear()
+        maxent._cold_fit.cache_clear()
         monkeypatch.setattr(maxent, "fit_maxent", recorded)
         res = calibrate(parse_market_csv(SNAPSHOT_CSV), CalibConfig(two_stage=True))
         stage2 = res.trace["stages"][1]

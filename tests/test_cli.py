@@ -371,6 +371,15 @@ class TestCommands:
         assert code == 2
         assert err["type"] == "InvalidParameterError" and "t0 <= t1 <= horizon" in err["message"]
 
+    @pytest.mark.parametrize("argv", [["simulate", "--horizon", "inf", "--paths", "10"],
+                                      ["moments", "--T", "inf"]], ids=["simulate", "moments"])
+    def test_infinite_horizon_exits_two(self, config_path, capsys, argv):
+        code = run([argv[0], "--config", config_path, *argv[1:]])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "InvalidParameterError" and "finite" in err["message"]
+
     def test_non_integer_factor_count_exits_three(self, tmp_path, capsys):
         code = run(["validate", "--config", write_config(tmp_path, d=1.5)])
         err = json.loads(capsys.readouterr().err)["error"]
@@ -447,6 +456,7 @@ class TestCommands:
 class TestRejectedInputs:
     # each case: the config (a dict, raw text, or None for an absent file), and
     # with "market" a market CSV (None: absent) passed with "flags" (default DATED)
+    # and, with "meta", the text of its sibling JSON
     @pytest.mark.parametrize("case,fragment", [
         pytest.param({"config": None}, "config file not found", id="config_not_found"),
         pytest.param({"config": '{"r": 0.01,'}, "config is not valid JSON", id="config_json"),
@@ -461,6 +471,29 @@ class TestRejectedInputs:
                      id="state"),
         pytest.param({"config": {**GOOD_CONFIG, "y0": [0.02, 0.01]}}, "y0 must have length d=1",
                      id="y0_length"),
+        pytest.param({"config": {**GOOD_CONFIG, "r": True}},
+                     "invalid model parameters: r must be a JSON number, got True", id="r_bool"),
+        pytest.param({"config": {**GOOD_CONFIG, "sigma": "0.2813"}},
+                     "sigma must be a JSON number, got '0.2813'", id="sigma_string"),
+        pytest.param({"config": {**GOOD_CONFIG, "d": True}}, "d must be a JSON number, got True",
+                     id="d_bool"),
+        pytest.param({"config": {**GOOD_CONFIG, "beta": [["-0.3439"]]}},
+                     "beta must be a JSON number, got '-0.3439'", id="beta_element_string"),
+        pytest.param({"config": {**GOOD_CONFIG, "nu": [True]}}, "nu must be a JSON number",
+                     id="nu_element_bool"),
+        pytest.param({"config": {**GOOD_CONFIG, "c0": False}},
+                     "invalid initial state: c0 must be a JSON number, got False", id="c0_bool"),
+        pytest.param({"config": {**GOOD_CONFIG, "y0": ["0.0371"]}}, "y0 must be a JSON number",
+                     id="y0_element_string"),
+        pytest.param({"config": {**GOOD_CONFIG, "lambda": "0.2",
+                                 "jump_dist": {"type": "point_mass", "z0": -0.3}}},
+                     "invalid jump_dist: lambda must be a JSON number", id="lambda_string"),
+        pytest.param({"config": {**GOOD_CONFIG, "lambda": 0.2,
+                                 "jump_dist": {"type": "point_mass", "z0": "-0.3"}}},
+                     "z0 must be a JSON number", id="jump_size_string"),
+        pytest.param({"config": {**GOOD_CONFIG, "lambda": 0.2, "jump_dist": {
+                          "type": "two_point", "z1": -0.4, "p": True, "z2": 0.5}}},
+                     "p must be a JSON number, got True", id="p_bool"),
         pytest.param({"market": None}, "market file not found", id="market_not_found"),
         pytest.param({"market": market_text(DF1_ROW, header="id,type,start,end,expiry,quote")},
                      "bad header", id="market_header"),
@@ -478,6 +511,12 @@ class TestRejectedInputs:
         pytest.param({"market": market_text(
             DF1_ROW, "IVDIV,dividend_iv,2016-12-16,2017-12-15,2017-12-15,0.05")},
                      "row 3: dividend IV window matches no futures quote", id="div_iv_window"),
+        pytest.param({"market": market_text(DF1_ROW), "flags": [],
+                      "meta": '{"spot": true, "valuation_date": "2015-12-21"}'},
+                     "spot must be a number, got True", id="sibling_spot_bool"),
+        pytest.param({"market": market_text(DF1_ROW), "flags": [],
+                      "meta": '{"spot": "100", "valuation_date": "2015-12-21"}'},
+                     "spot must be a number, got '100'", id="sibling_spot_string"),
     ])
     def test_malformed_input_exits_three(self, tmp_path, capsys, case, fragment):
         config = case.get("config", GOOD_CONFIG)
@@ -489,6 +528,8 @@ class TestRejectedInputs:
             argv += ["--market", str(tmp_path / "market.csv"), *case.get("flags", DATED)]
             if case["market"] is not None:
                 (tmp_path / "market.csv").write_text(case["market"])
+            if "meta" in case:
+                (tmp_path / "market.json").write_text(case["meta"])
         err = run_rejected(capsys, argv)
         assert fragment in err["message"]
 

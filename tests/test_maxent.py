@@ -276,8 +276,8 @@ class TestDividendOption:
 
 
 def _clear_memo():
-    maxent._MOMENT_MEMO.clear()
-    maxent._FIT_MEMO.clear()
+    maxent._record = maxent._Record(None)
+    maxent._cold_fit.cache_clear()
 
 
 def _strike_grid(p, jump, st, underlying, T):
@@ -355,7 +355,7 @@ class TestRepeatedPrices:
             for n in range(2, 7):
                 maxent._option_inputs(p, TWO_POINT_JUMP, st, spec, n)
         assert len(exponentials) == 4 * 6
-        (record,) = maxent._MOMENT_MEMO.values()
+        record = maxent._record
         held = sum(v.nbytes for v in record.held.values() if v is not None)
         assert held < 0.5e6
         monkeypatch.setattr(polydiv.moments, "expm", expm)
@@ -436,8 +436,8 @@ class TestRepeatedPrices:
         for k in range(3 * maxent._MEMO_SIZE):
             st = State(c=0.0, x=1.0 + 0.01 * k, y=[0.0371])
             price_stock_option(p, None, st, spec, 3)
-            assert len(maxent._MOMENT_MEMO) <= maxent._MEMO_SIZE
-            assert len(maxent._FIT_MEMO) <= maxent._MEMO_SIZE
+            assert list(maxent._record.moments) == [(0.5, None)]
+            assert maxent._cold_fit.cache_info().currsize <= maxent._MEMO_SIZE
 
     def test_cached_moments_are_read_only(self):
         p, st = reference_params(0.2), reference_state()
@@ -633,7 +633,8 @@ class TestStartedFit:
         # a started fit neither reads nor fills the memo
         price, density = price_option(p, None, st, spec, 6, start=near)
         assert calls == [None, near] and density is not cold
-        assert list(maxent._FIT_MEMO.values()) == [cold]
+        assert maxent._cold_fit.cache_info().currsize == 1
+        assert maxent._cold_fit(cold.moments.tobytes()) is cold
         assert abs(price - cold_price) <= 1e-9
         # a start with another count leaves the fit cold, through the memo
         fewer = fit_maxent(np.concatenate(([1.0], raw[:5])))
