@@ -1,6 +1,7 @@
 """Black-Scholes and Black-76 prices plus a bracketed implied-vol solver."""
 
 import math
+from typing import NamedTuple
 
 from scipy.special import ndtr
 
@@ -26,6 +27,32 @@ def black76_price(forward, strike, expiry, vol, rate, kind="call"):
     if kind == "put":
         return call - discount * (forward - strike)
     raise InvalidParameterError(f"unknown option kind {kind!r}")
+
+
+class Black76Derivatives(NamedTuple):
+    """First derivatives of a Black-76 price in the forward, the strike and the vol."""
+
+    forward: float
+    strike: float
+    vega: float
+
+
+def black76_derivatives(forward, strike, expiry, vol, rate, kind="call"):
+    """:class:`Black76Derivatives` of ``black76_price``; needs vol, expiry > 0."""
+    if not (forward > 0 and strike > 0 and vol > 0 and expiry > 0):
+        raise InvalidParameterError("need positive forward, strike, vol and expiry")
+    discount = math.exp(-rate * expiry)
+    s = vol * math.sqrt(expiry)
+    d1 = (math.log(forward / strike) + 0.5 * s * s) / s
+    itm_forward, itm_strike = ndtr(d1), ndtr(d1 - s)      # the call's; a put's are 1 less
+    if kind == "put":
+        itm_forward, itm_strike = itm_forward - 1.0, itm_strike - 1.0
+    elif kind != "call":
+        raise InvalidParameterError(f"unknown option kind {kind!r}")
+    density = math.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
+    return Black76Derivatives(forward=discount * float(itm_forward),
+                              strike=-discount * float(itm_strike),
+                              vega=discount * forward * math.sqrt(expiry) * density)
 
 
 def black_scholes_price(spot, strike, expiry, vol, rate, dividend_yield=0.0, kind="call"):

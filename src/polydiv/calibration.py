@@ -6,7 +6,11 @@ prices depend only on (b, beta, D0), the option legs add (sigma, nu1), so
 the joint fit is well determined by a strip plus two vol quotes.  The fit
 is a bounded nonlinear least-squares problem on the weighted residuals
 sqrt(w) * (model - market), solved by scipy's trust-region reflective
-method with finite-difference Jacobians.  It runs in the coordinates
+method with exact Jacobians: every moment is a matrix exponential, which
+one larger exponential differentiates (Van Loan), and an option price
+follows its moments through the maxent dual of its fit, so a Jacobian
+reuses the fits of the residual call at its point and prices nothing.
+It runs in the coordinates
 (b, q, sigma, nu1, D0), where q = r - a - b/a - beta is the slack of the
 d = 1 cap inequality, so admissibility is the box b >= 0, q > 0,
 sigma, nu1 >= 0, 0 <= D0 <= a and every trial point is admissible.
@@ -20,21 +24,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .black import implied_vol
+from .black import black76_derivatives, implied_vol
 from .errors import (CalibrationError, DomainError, InvalidParameterError, MarketDataError,
                      PolydivError)
-from .maxent import OptionSpec, fit_fields, price_option
+from .maxent import OptionSpec, fit_fields, price_option, price_tangents
 # price_* and *_futures are kept for perfbench's tracer, which wraps them here
 from .maxent import price_dividend_option, price_stock_option  # noqa: F401
 from .model import ModelParams, State, require_admissible, validate_admissibility
 from .moments import dividend_futures, futures_strip, stock_futures  # noqa: F401
 
 FREE_NAMES = ("b", "q", "sigma", "nu1", "d0")
-# Relative finite-difference step.  Near the snapshot fit the dividend IV
-# scatters about a line in sigma with sd 1.6e-10, far below what 1e-5 steps
-# resolve: from 12 starts, joint and two-stage, 1e-5 reached 7.5868493 on
-# every fit in 30-43 evaluations (1e-3: up to 7.5868495 in 31-79).
-DIFF_STEP = 1e-5
 # Floor of the cap slack q: at q = 0, validate_admissibility's r - a - beta
 # - b/a rounds to about -1e-17 for some b and rejects the point.
 Q_FLOOR = 1e-12
@@ -132,7 +131,7 @@ class CalibConfig:
     weight_iv: float = 1e4
     n_moments: int = 6
     two_stage: bool = False
-    max_evals: int = 4000           # residual calls, finite-difference calls included
+    max_evals: int = 4000           # residual calls, a Jacobian in n coordinates counted as n
 
     def __post_init__(self):
         if not self.a > 0:
@@ -141,13 +140,13 @@ class CalibConfig:
             raise InvalidParameterError(f"need weight_iv >= 0, got {self.weight_iv}")
         if self.n_moments < 2:
             raise InvalidParameterError(f"need n_moments >= 2, got {self.n_moments}")
-        # the start plus one finite-difference Jacobian in every stage: 1 + 5
-        # calls jointly, or 1 + 3 for stage 1 in each half of the budget
+        # the start plus one Jacobian in every stage: 1 + 5 calls jointly, or
+        # 1 + 3 for stage 1 in each half of the budget
         min_evals = 8 if self.two_stage else 6
         if self.max_evals < min_evals:
             raise InvalidParameterError(
-                f"max_evals={self.max_evals} cannot pay for one finite-difference "
-                f"Jacobian per stage; need at least {min_evals}"
+                f"max_evals={self.max_evals} cannot pay for the start and one Jacobian "
+                f"per stage; need at least {min_evals}"
             )
 
 
@@ -262,12 +261,60 @@ def objective(param_vector, market, config):
     return _misfit(pricing_errors(params, d0, market, config.n_moments), config)
 
 
-def _residuals(rows, config):
-    """The weighted residuals sqrt(w) * (model - market) of `rows`, w = 1 for
-    a futures price and ``config.weight_iv`` for an implied vol."""
+def _weights(rows, config):
+    """sqrt(w) for each of `rows`: w = 1 for a futures price and
+    ``config.weight_iv`` for an implied vol."""
     iv = math.sqrt(config.weight_iv)
-    return np.array([(1.0 if row.kind == "futures" else iv) * (row.model - row.market)
-                     for row in rows])
+    return np.array([1.0 if row.kind == "futures" else iv for row in rows])
+
+
+def _residuals(rows, config):
+    """The weighted residuals sqrt(w) * (model - market) of `rows`."""
+    return _weights(rows, config) * np.array([row.model - row.market for row in rows])
+
+
+def _pricing_tangents(params, d0, market, rows, densities):
+    """Derivatives of the model values of `rows`, which ``pricing_errors``
+    priced at (params, d0), in (b, beta, sigma, nu1, D0): one row each, in
+    order.  ``densities`` holds the fit of each option's underlying made
+    there; nothing is refitted.
+
+    The futures and both forwards come from the strip's Van Loan tangents
+    and do not move with sigma or nu1.  An option value comes from
+    ``maxent.price_tangents``, and its implied vol from the Black-76 price
+    at that vol: dIV = (dC - B_F dF - B_K dK) / vega.  The dividend option's
+    strike is its futures price, so it moves too.  A vol at intrinsic (0)
+    is flat.
+    """
+    state = State(c=0.0, x=1.0, y=[d0])
+    expiries = () if market.stock_iv is None else (market.stock_iv.expiry,)
+    strip, stock_fwd = futures_strip(params, state, 0.0, [(f.t0, f.t1) for f in market.futures],
+                                     expiries, tangents=True)
+    # their columns are (b, beta, D0)
+    strip_d, fwd_d = (np.insert(t[:, 1:], [2, 2], 0.0, axis=1) for t in (strip, stock_fwd))
+    vols = {row.kind: row.model for row in rows}
+
+    def vol(kind, spec, forward, d_forward, d_strike):
+        if vols[kind] == 0.0:
+            return np.zeros(5)
+        d_value, value_strike = price_tangents(params, None, state, spec,
+                                               densities[spec.underlying])
+        black = black76_derivatives(forward, spec.strike, spec.expiry, vols[kind], spec.rate)
+        return (d_value - black.forward * d_forward
+                + (value_strike - black.strike) * d_strike) / black.vega
+
+    out = list(market.spot * strip_d)
+    if market.stock_iv is not None:
+        spec = OptionSpec(kind="call", underlying="stock", strike=1.0,
+                          expiry=market.stock_iv.expiry, rate=params.r)
+        out.append(vol("stock_iv", spec, stock_fwd[0, 0], fwd_d[0], np.zeros(5)))
+    if market.dividend_iv is not None:
+        k = market.futures.index(market.futures_by_id(market.dividend_iv.futures_id))
+        f = market.futures[k]
+        spec = OptionSpec(kind="call", underlying="dividend", strike=strip[k, 0], expiry=f.t1,
+                          rate=params.r, window=(f.t0, f.t1))
+        out.append(vol("dividend_iv", spec, strip[k, 0], strip_d[k], strip_d[k]))
+    return np.array(out)
 
 
 def _misfit(rows, config):
@@ -284,14 +331,23 @@ def _params_from_free(z, config):
     return params_from_vector(_vector_from_free(z, config), config)
 
 
+def _free_tangents(config):
+    """d(b, beta, sigma, nu1, D0) / d(b, q, sigma, nu1, D0): dbeta/db = -1/a, dbeta/dq = -1."""
+    chain = np.eye(5)
+    chain[1, :2] = -1.0 / config.a, -1.0
+    return chain
+
+
 def _fit_stage(z, names, market, kinds, config, budget):
     """Fit the coordinates `names` of `z`, in place, to the `kinds` rows of
     `market`, and return the stage's trace record.
 
-    The optimizer computes its finite-difference Jacobian, n residual calls
-    for n coordinates, only at the start and after an accepted step, each
-    time right after one function evaluation; allowing budget // (n + 1)
-    function evaluations therefore keeps every call within `budget`.
+    The optimizer asks for the Jacobian only at the start and after an
+    accepted step, each time right after the residual call at that point.
+    It is exact (see ``_pricing_tangents``) and made from that call's fits,
+    so it prices nothing; the budget still counts it as n calls for n
+    coordinates, and allowing budget // (n + 1) residual calls keeps the
+    total within `budget`.
 
     Every trial point lies next to one already priced, so each maxent fit
     starts from the stage's last density on its underlying; the first
@@ -307,6 +363,7 @@ def _fit_stage(z, names, market, kinds, config, budget):
     start = {}
     iterations = []
     unpriced = 0
+    priced = {}         # the last priced point: inputs, rows and fits
 
     def residuals(v):
         nonlocal unpriced
@@ -319,19 +376,34 @@ def _fit_stage(z, names, market, kinds, config, budget):
                 raise
             unpriced += 1
             return np.full(len(fitted), 1e6)      # unpriceable: a large, finite misfit
+        priced.update(x=v.copy(), params=params, d0=d0, rows=rows, densities=dict(start))
         iterations.extend(row.newton_iterations for row in rows
                           if row.newton_iterations is not None)
         rows = [row for row in rows if row.kind in kinds]
         fitted[:] = [row.id for row in rows]
         return _residuals(rows, config)
 
+    def jacobian(v):
+        if not np.array_equal(v, priced["x"]):
+            raise CalibrationError(f"a Jacobian needs the fits of a priced point; {v} was "
+                                   f"not the last one priced, {priced['x']} was")
+        rows = priced["rows"]
+        keep = [k for k, row in enumerate(rows) if row.kind in kinds]
+        tangents = _pricing_tangents(priced["params"], priced["d0"], market, rows,
+                                     priced["densities"]) @ _free_tangents(config)
+        return _weights([rows[k] for k in keep], config)[:, None] * tangents[np.ix_(keep, idx)]
+
+    # no gradient test (gtol): it scales each gradient entry by the distance to
+    # the bound the entry points at, so next to q = 0 it stops a fit that the
+    # exact gradient still improves (futures quoted 1e-9 inside the cap
+    # inequality stopped at objective 4e-12 after 24 calls, not 1e-17 after 31)
     sol = least_squares(
-        residuals, np.clip(z[idx], lower, upper), bounds=(lower, upper), method="trf",
-        diff_step=DIFF_STEP, max_nfev=budget // (len(idx) + 1),
+        residuals, np.clip(z[idx], lower, upper), jac=jacobian, bounds=(lower, upper),
+        method="trf", gtol=None, max_nfev=budget // (len(idx) + 1),
     )
     z[idx] = sol.x
     return {"parameters": list(names), "residuals": fitted, "method": "trf",
-            "nfev": int(sol.nfev + len(idx) * sol.njev), "status": int(sol.status),
+            "nfev": int(sol.nfev), "njev": int(sol.njev), "status": int(sol.status),
             "message": str(sol.message), "maxent_fits": len(iterations),
             "newton_iterations": sum(iterations), "unpriced": unpriced,
             "seconds": time.perf_counter() - started}

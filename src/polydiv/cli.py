@@ -540,7 +540,9 @@ def build_parser():
     common(p_cal, _cmd_calibrate, market=True)
     p_cal.add_argument("--moments", type=int, default=6)
     p_cal.add_argument("--two-stage", action="store_true")
-    p_cal.add_argument("--max-evals", type=int, default=4000)
+    p_cal.add_argument("--max-evals", type=int, default=4000,
+                       help="budget of model evaluations, split evenly between the stages; "
+                            "a Jacobian in n parameters counts as n")
     p_cal.add_argument("--weight-iv", type=float, default=1e4)
     return parser
 

@@ -155,6 +155,15 @@ def _term_factors(params, jump, n):
     ))
 
 
+def _term_starts(d):
+    """Where the b, beta, sigma, nu and jump groups of `_term_factors` start."""
+    t_b = 2
+    t_beta = t_b + d
+    t_sigma = t_beta + d * d
+    t_nu = t_sigma + 3
+    return t_b, t_beta, t_sigma, t_nu, t_nu + 2 * d
+
+
 class _Template(NamedTuple):
     """Generator entries on one basis: flat index ``row * size + col``, term
     id (an index into the `_term_factors` vector) and pure-number multiplier."""
@@ -172,12 +181,8 @@ def _generator_template(d, n):
     monomial escapes the basis (polynomial closure).
     """
     basis = build_basis(d, n)
-    # where each group of `_term_factors` starts
-    one, rate, t_b = 0, 1, 2
-    t_beta = t_b + d
-    t_sigma = t_beta + d * d
-    t_nu = t_sigma + 3
-    t_jump = t_nu + 2 * d
+    one, rate = 0, 1
+    t_b, t_beta, t_sigma, t_nu, t_jump = _term_starts(d)
     entries = []
     for row, mi in enumerate(basis.members):
         i, j, alpha = mi
@@ -258,6 +263,27 @@ def build_generator(params, jump, basis):
     weights = tpl.mult * _term_factors(params, jump, basis.n)[tpl.term]
     size = basis.size
     return np.bincount(tpl.flat, weights=weights, minlength=size * size).reshape(size, size)
+
+
+def generator_directions(params, basis):
+    """The derivatives of the generator on `basis` in theta = b_1..b_d, beta_kl
+    (row-major), sigma, nu_1..nu_d, one matrix each: the template weighted
+    by the derivative of each term factor, 2 sigma/a^q and 2 nu_k/a^q in
+    the diffusion terms and 1 in the drift terms.  The jump terms do not
+    depend on theta."""
+    d, n = basis.d, basis.n
+    t_b, t_beta, t_sigma, t_nu, t_jump = _term_starts(d)
+    inv_a = params.a ** -np.arange(3.0)
+    slope = np.zeros((2 * d + d * d + 1, t_jump + (n + 1) ** 2))
+    drift = np.arange(d + d * d)
+    slope[drift, t_b + drift] = 1.0                  # the b and beta groups are adjacent
+    slope[d + d * d, t_sigma:t_nu] = 2.0 * params.sigma * inv_a
+    for k in range(d):
+        slope[d + d * d + 1 + k, t_nu + 2 * k:t_nu + 2 * k + 2] = 2.0 * params.nu[k] * inv_a[:2]
+    tpl = _generator_template(d, n)
+    size = basis.size
+    return np.array([np.bincount(tpl.flat, weights=tpl.mult * row[tpl.term],
+                                 minlength=size * size).reshape(size, size) for row in slope])
 
 
 def eval_basis(basis, state):

@@ -40,7 +40,7 @@ from scipy.special import roots_legendre
 
 from ._blas import single_thread
 from .errors import ConvergenceError, InfeasibleMomentsError, InvalidParameterError
-from .moments import _power_moments
+from .moments import _power_moment_tangents, _power_moments
 # kept for perfbench's tracer, which wraps them here
 from .moments import cumulative_dividend_moments, stock_price_moments  # noqa: F401
 
@@ -176,6 +176,22 @@ def _start_points(mu, s0):
     return [exp_start, gauss]
 
 
+def _columns(v, n):
+    """``n`` read-only copies of the vector ``v`` side by side, for ``np.cumprod`` to
+    turn into the powers v^1..v^n."""
+    return np.broadcast_to(v[:, None], (v.size, n))
+
+
+def _z_basis(m0, s0, n):
+    """The basis change z^p = sum_k chg[p, k] u^k (p, k = 0..n) of the
+    standardized coordinate z = (u - m0)/s0."""
+    chg = np.zeros((n + 1, n + 1))
+    for p in range(n + 1):
+        for k in range(p + 1):
+            chg[p, k] = math.comb(p, k) * (-m0) ** (p - k) / s0 ** p
+    return chg
+
+
 def _dual_newton(mu, nodes, weights, gamma0, m0, s0):
     """Damped Newton iteration on the convex dual of the moment problem.
 
@@ -189,14 +205,11 @@ def _dual_newton(mu, nodes, weights, gamma0, m0, s0):
     Returns (lam_scaled including lam_0, gamma, log_z, iterations, residual).
     """
     n = mu.size
-    z = (nodes - m0) / s0
-    zpow = z[:, None] ** np.arange(2 * n + 1)[None, :]
-    upow = nodes[:, None] ** np.arange(1, n + 1)[None, :]
-    # basis change z^p = sum_k chg[p, k] u^k
-    chg = np.zeros((n + 1, n + 1))
-    for p in range(n + 1):
-        for k in range(p + 1):
-            chg[p, k] = math.comb(p, k) * (-m0) ** (p - k) / s0 ** p
+    # power tables by repeated multiplication, as the refined-rule check builds them
+    zpow = np.ones((nodes.size, 2 * n + 1))
+    np.cumprod(_columns((nodes - m0) / s0, 2 * n), axis=1, out=zpow[:, 1:])
+    upow = np.cumprod(_columns(nodes, n), axis=1)
+    chg = _z_basis(m0, s0, n)
     target_z = chg[1:] @ np.concatenate(([1.0], mu))
     # Hessian [p, q] = cov(z^(p+1), z^(q+1)) = <z^(p+q+2)> - <z^(p+1)><z^(q+1)>: exactly symmetric
     hankel = np.add.outer(np.arange(2, n + 2), np.arange(n))
@@ -219,7 +232,6 @@ def _dual_newton(mu, nodes, weights, gamma0, m0, s0):
     gamma = np.asarray(gamma0, dtype=float).copy()
     zmom, umom, log_z, merit, residual = state(gamma)
     best = (gamma.copy(), log_z, residual)
-    stalls = 0
     it = 0
     for it in range(1, _NEWTON_ITERS + 1):
         if residual < _NEWTON_TOL:
@@ -257,11 +269,7 @@ def _dual_newton(mu, nodes, weights, gamma0, m0, s0):
                 break
             t *= 0.5
         if not accepted:
-            stalls += 1
-            if stalls >= 3:
-                break
-            continue
-        stalls = 0
+            break           # nothing moved: a retry would repeat this search exactly
         if residual < best[2]:
             best = (gamma.copy(), log_z, residual)
 
@@ -344,7 +352,7 @@ def fit_maxent(moments, start=None):
         u2, w2 = _panel_nodes(_quad_rule(center, width, 2 * nodes_count, lo=lo))
         z2 = (u2 - m0) / s0
         phi = w2 * np.exp(-(log_z + polyval(z2, np.concatenate(([0.0], gamma)))))
-        mom2 = phi @ np.cumprod(np.broadcast_to(u2[:, None], (u2.size, n)), axis=1)
+        mom2 = phi @ np.cumprod(_columns(u2, n), axis=1)
         err2 = np.max(np.abs(mom2 - mu) / np.maximum(np.abs(mu), 1e-300))
         check = max(err2, abs(phi.sum() - 1.0))
         if check < _VERIFY_TOL:
@@ -387,12 +395,18 @@ def integrate_payoff(density, payoff, points=()):
     no piece is resolved more coarsely than the fit was verified on.  The
     payoff and the pdf are evaluated once, on all nodes together.
     """
+    x, w = _panel_nodes(_split_panels(density.panels, points))
+    return float(w @ (np.asarray(payoff(x), dtype=float) * density.pdf(x)))
+
+
+def _split_panels(panels, points):
+    """``panels`` with each one that holds a point of ``points`` split there;
+    every piece keeps the panel's node count."""
     pieces = []
-    for a, b, count in density.panels:
+    for a, b, count in panels:
         edges = [a, *sorted({p for p in points if a < p < b}), b]
         pieces += [(lo, hi, count) for lo, hi in zip(edges[:-1], edges[1:])]
-    x, w = _panel_nodes(pieces)
-    return float(w @ (np.asarray(payoff(x), dtype=float) * density.pdf(x)))
+    return pieces
 
 
 @dataclass(frozen=True)
@@ -485,6 +499,20 @@ class _Record:
 _record = _Record(None)   # of the underlying priced last; swapped, never cleared
 
 
+def _option_line(spec, state):
+    """The moment line (dt, window) of the option's underlying, with window
+    None for the stock and no line (None) for a zero-length window, and the
+    strike on it (see :func:`_option_inputs`)."""
+    if spec.underlying == "stock":
+        return (spec.expiry, None), spec.strike
+    t0, t1 = spec.window
+    if t1 == t0:
+        return None, spec.strike
+    if t1 < 0:
+        raise InvalidParameterError(f"window {spec.window} has ended")
+    return (max(t0, 0.0), t1 - max(t0, 0.0)), spec.strike - (state.c if t0 < 0 else 0.0)
+
+
 @single_thread
 def _option_inputs(params, jump, state, spec, n_moments):
     """Moments M_1..M_N of the option's underlying, the strike on it, and the discount.
@@ -507,17 +535,9 @@ def _option_inputs(params, jump, state, spec, n_moments):
                                     f"got {n_moments!r}")
     n_moments = int(n_moments)
     discount = math.exp(-spec.rate * spec.expiry)
-    strike = spec.strike
-    if spec.underlying == "stock":
-        line = (spec.expiry, None)
-    else:
-        t0, t1 = spec.window
-        if t1 == t0:
-            return np.zeros(n_moments), strike, discount
-        if t1 < 0:
-            raise InvalidParameterError(f"window {spec.window} has ended")
-        line = (max(t0, 0.0), t1 - max(t0, 0.0))
-        strike -= state.c if t0 < 0 else 0.0
+    line, strike = _option_line(spec, state)
+    if line is None:
+        return np.zeros(n_moments), strike, discount
 
     global _record
     key = (params.r, params.a, params.sigma, params.d, params.b.tobytes(),
@@ -569,6 +589,37 @@ def price_option(params, jump, state, spec, n_moments, start=None):
             if count == 2:
                 raise
     return discount * integrate_payoff(density, payoff, points=(strike,)), density
+
+
+@single_thread
+def price_tangents(params, jump, state, spec, density):
+    """Derivatives of the value ``price_option`` made from the fit ``density``,
+    without a refit: in theta and y (the columns of
+    ``moments._power_moment_tangents``), and in the strike.
+
+    With the fit's domain held, the maxent dual gives dE[g] = cov(g, z)'
+    H^-1 d<z>, where z holds the powers 1..N of the fit's standardized
+    coordinate, H = cov(z, z) is the Newton Hessian and d<z> follows from dM
+    by the basis change.  The expectations run on the fit's own panels,
+    split at the strike as the price's integral is.
+    """
+    line, strike = _option_line(spec, state)
+    n = density.moments.size - 1
+    x, w = _panel_nodes(_split_panels(density.panels, (strike,)))
+    prob = w * density.pdf(x)
+    prob /= prob.sum()
+    powers = np.cumprod(_columns((x / density.scale - density.z_center) / density.z_scale, n),
+                        axis=1)
+    dev = powers - prob @ powers
+    cov = (prob * option_payoff(spec.kind, strike)(x)) @ dev
+    d_z = np.linalg.solve(dev.T @ (prob[:, None] * dev), cov)
+    chg = _z_basis(density.z_center, density.z_scale, n)[1:, 1:]
+    d_moments = d_z @ chg / density.scale ** np.arange(1, n + 1)
+    # a call loses, a put gains, the probability of ending in the money
+    d_strike = -prob[x > strike].sum() if spec.kind == "call" else prob[x < strike].sum()
+    discount = math.exp(-spec.rate * spec.expiry)
+    return (discount * d_moments @ _power_moment_tangents(params, jump, state, line[0], n, line[1]),
+            discount * d_strike)
 
 
 def price_stock_option(params, jump, state, spec, n_moments):

@@ -25,7 +25,7 @@ from scipy.linalg import expm
 
 from ._blas import single_thread
 from .errors import DomainError, InvalidParameterError, NumericError
-from .generator import build_basis, build_generator, eval_basis
+from .generator import build_basis, build_generator, eval_basis, generator_directions
 from .model import require_admissible
 
 
@@ -106,11 +106,19 @@ def conditional_moments(params, jump, state, t, T, n):
     return MomentSet(basis=basis, t=t, T=T, values=values)
 
 
-def _forward_means(params, state, t, dates, rate=0.0):
+def _forward_means(params, state, t, dates, rate=0.0, tangents=False):
     """E_t[(C_s - C_t, X_s, Y_s)] discounted at `rate`, for each date s >= t, in
     request order: the mean is carried forward from (0, x, y) over the sorted
-    dates by the drift matrix ``[[0, 0, 1'], [0, r - rate, -1'], [0, b, beta -
-    rate I]]``, exponentiated in one stacked call, once per distinct step."""
+    dates by the drift matrix A = ``[[0, 0, 1'], [0, r - rate, -1'], [0, b,
+    beta - rate I]]``, exponentiated in one stacked call, once per distinct step.
+
+    With ``tangents`` each date gets a (1 + 2d + d^2, 2 + d) array: the mean,
+    then its derivatives in b_k, beta_kl (row-major) and y_k.  The step is
+    then the Van Loan matrix of A with each E_i = dA/dtheta_i below it in
+    the first block column: its exponential maps (m, t_1, ..) to (e^A m,
+    L(A, E_1) m + e^A t_1, ..), with L the Frechet derivative of the
+    exponential.  The mean is linear in y, so the y tangents start at the
+    unit vectors and have no E."""
     d = params.d
     mat = np.zeros((2 + d, 2 + d))
     mat[0, 2:] = 1.0
@@ -118,20 +126,27 @@ def _forward_means(params, state, t, dates, rate=0.0):
     mat[1, 2:] = -1.0
     mat[2:, 1] = params.b
     mat[2:, 2:] = params.beta - rate * np.eye(d)
+    start = np.concatenate(([0.0, state.x], state.y))
+    if tangents:
+        m, q = 2 + d, d + d * d
+        mat = np.kron(np.eye(1 + q + d), mat)
+        rows = m * np.arange(1, q + 1) + 2 + np.append(np.arange(d), np.repeat(np.arange(d), d))
+        mat[rows, np.append(np.ones(d, int), 2 + np.tile(np.arange(d), d))] = 1.0
+        start = np.concatenate((start, np.zeros(q * m), np.eye(m)[2:].ravel()))
     # sets and dicts over the few dates: np.unique would page ~0.4 MB of sort code in
     times = sorted({t, *map(float, dates)})
     steps = sorted({b - a for a, b in zip(times, times[1:])})
     props = dict(zip(steps, expm(np.multiply.outer(steps, mat)))) if steps else {}
-    means = {t: np.concatenate(([0.0, state.x], state.y))}
+    means = {t: start}
     for a, b in zip(times, times[1:]):
         means[b] = props[b - a] @ means[a]
-    out = np.array([means[s] for s in dates]).reshape(len(dates), 2 + d)
+    out = np.array([means[s] for s in dates]).reshape(len(dates), -1, 2 + d)
     if not np.all(np.isfinite(out)):
         raise NumericError("matrix exponential produced non-finite values")
-    return out
+    return out if tangents else out[:, 0]
 
 
-def futures_strip(params, state, t, windows, expiries=()):
+def futures_strip(params, state, t, windows, expiries=(), tangents=False):
     """Dividend futures E_t[C_T1 - C_T0] for each (T0, T1) of `windows` and
     stock futures E_t[X_T] for each T of `expiries`, as two arrays in request
     order, from one forward propagation of the degree-one mean.
@@ -139,7 +154,9 @@ def futures_strip(params, state, t, windows, expiries=()):
     All dates are checked before any work, the parameters once.  A window
     that has started (T0 < t) needs ``state.c`` to be the dividends accrued
     since T0, and is priced as ``state.c`` plus E_t[C_T1 - C_t].  Only the
-    drift enters: compensated jumps leave every mean unchanged.
+    drift enters: compensated jumps leave every mean unchanged.  With
+    ``tangents`` each price is a row: the price, then its derivatives in
+    b_k, beta_kl (row-major) and y_k (see :func:`_forward_means`).
     """
     w = np.array(windows, dtype=float).reshape(len(windows), 2)
     e = np.array(expiries, dtype=float).reshape(len(expiries))
@@ -151,9 +168,14 @@ def futures_strip(params, state, t, windows, expiries=()):
         raise InvalidParameterError("; ".join(bad))
     require_admissible(params)
     n = len(w)
-    means = _forward_means(params, state, t, np.concatenate((np.maximum(w[:, 0], t), w[:, 1], e)))
+    means = _forward_means(params, state, t, np.concatenate((np.maximum(w[:, 0], t), w[:, 1], e)),
+                           tangents=tangents)
+    strip = means[n:2 * n, ..., 0] - means[:n, ..., 0]
     accrued = np.where(w[:, 0] < t, state.c, 0.0)
-    return means[n:2 * n, 0] - means[:n, 0] + accrued, means[2 * n:, 1]
+    if not tangents:
+        return strip + accrued, means[2 * n:, 1]
+    strip[:, 0] += accrued
+    return strip, means[2 * n:, :, 1]
 
 
 def stock_futures(params, jump, state, t, T):
@@ -201,6 +223,62 @@ def _power_moments(params, jump, state, dt, n, window=None, first=1, held=None):
         if ("c-free", k, dt) not in held:
             held["c-free", k, dt] = _exponential(mat[f, f].T, dt)
         out[k - first] = _apply(held["c-free", k, dt], row) @ h[f]
+    return out
+
+
+def _van_loan(a, tau, v, h):
+    """``expm(a tau) @ v`` and X = int_0^tau e^(a s) v h' e^(a (tau - s)) ds,
+    both from one exponential of ``[[a, v h'], [0, a]] tau`` (Van Loan, IEEE
+    TAC 1978).  For a perturbation E of a, h' L(a tau, E tau) v = sum(E' * X),
+    with L the Frechet derivative of the exponential: one exponential serves
+    every direction."""
+    m = v.size
+    if tau == 0:
+        return v.copy(), np.zeros((m, m))
+    big = np.zeros((2 * m, 2 * m))
+    big[:m, :m] = big[m:, m:] = a
+    big[:m, m:] = np.outer(v, h)
+    e = _exponential(big, tau)
+    return e[:m, :m] @ v, e[:m, m:]
+
+
+def _power_moment_tangents(params, jump, state, dt, n, window=None):
+    """Derivatives of :func:`_power_moments`' E_t[P^k], k = 1..n, as an
+    (n, p + d) array: in theta = b_k, beta_kl, sigma, nu_k (the order of
+    :func:`generator_directions`), then in the factor levels y_k.
+
+    Each moment is a row v carried back over tau by B' (B a degree block or
+    its c-free sub-block) and dotted with h, so its derivative along dB is
+    sum(dB * X) with X from :func:`_van_loan`.  A window row is carried back
+    twice: over the window on the full block, then over dt on the c-free
+    sub-block.  y enters through h alone.
+    """
+    basis = build_basis(params.d, n)
+    mat = build_generator(params, jump, basis)
+    dirs = generator_directions(params, basis)
+    h = eval_basis(basis, state)
+    point = np.concatenate(([state.c, state.x], state.y))
+    dh = []
+    for k in range(params.d):           # d/dy_k of each monomial
+        lowered = basis.exponents.copy()
+        lowered[:, 2 + k] = np.maximum(lowered[:, 2 + k] - 1, 0)
+        dh.append(basis.exponents[:, 2 + k] * np.prod(point ** lowered, axis=1))
+    dh = np.array(dh)
+    out = np.empty((n, len(dirs) + params.d))
+    for k in range(1, n + 1):
+        s, f = basis.blocks[k], basis.c_free[k]
+        grad = np.zeros(len(dirs))
+        if window is None:
+            row = np.eye(f.stop - f.start)[0]
+        else:
+            carried = _exponential(mat[f, f].T, dt)
+            h_window = np.zeros(s.stop - s.start)
+            h_window[f.start - s.start:] = h[f] if carried is None else carried.T @ h[f]
+            row, x = _van_loan(mat[s, s].T, window, np.eye(s.stop - s.start)[0], h_window)
+            row = row[f.start - s.start:]
+            grad += (dirs[:, s, s] * x).sum(axis=(1, 2))
+        row, x = _van_loan(mat[f, f].T, dt, row, h[f])
+        out[k - 1] = np.concatenate((grad + (dirs[:, f, f] * x).sum(axis=(1, 2)), dh[:, f] @ row))
     return out
 
 

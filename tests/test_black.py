@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import polydiv
-from polydiv.black import VOL_CAP, black76_price, black_scholes_price, implied_vol
+from polydiv.black import (VOL_CAP, black76_derivatives, black76_price, black_scholes_price,
+                           implied_vol)
 from polydiv.errors import DomainError, InvalidParameterError
 
 
@@ -115,6 +116,39 @@ class TestImpliedVol:
         for kind in ("call", "put"):
             assert black_scholes_price(1.0, 1.0, 0.25, 0.23, 0.01, q, kind) == \
                 black76_price(1.0 * math.exp((0.01 - q) * 0.25), 1.0, 0.25, 0.23, 0.01, kind)
+
+
+class TestDerivatives:
+    @pytest.mark.parametrize("kind", ["call", "put"])
+    def test_against_central_differences(self, kind):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            args = dict(forward=rng.uniform(0.02, 2.0), expiry=rng.uniform(0.1, 3.0),
+                        vol=rng.uniform(0.03, 0.6), rate=rng.uniform(-0.01, 0.05))
+            args["strike"] = args["forward"] * math.exp(rng.uniform(-0.5, 0.5))
+            got = black76_derivatives(kind=kind, **args)
+
+            def central(name):
+                h = 1e-5 * args[name]
+                up, down = ({**args, name: args[name] + s * h} for s in (1, -1))
+                return (black76_price(kind=kind, **up) - black76_price(kind=kind, **down)) / (2 * h)
+
+            scale = args["forward"]       # every derivative is at most of this size
+            assert got.forward == pytest.approx(central("forward"), abs=1e-8)
+            assert got.strike == pytest.approx(central("strike"), abs=1e-8)
+            assert got.vega == pytest.approx(central("vol"), abs=1e-8 * scale)
+
+    def test_atm_forward_is_the_put_call_parity_split(self):
+        # B_F(call) - B_F(put) = B_K(put) - B_K(call) = the discount
+        call, put = (black76_derivatives(1.3, 1.3, 0.8, 0.25, 0.02, kind) for kind in
+                     ("call", "put"))
+        assert call.forward - put.forward == pytest.approx(math.exp(-0.016), rel=1e-14)
+        assert put.strike - call.strike == pytest.approx(math.exp(-0.016), rel=1e-14)
+        assert call.vega == put.vega
+
+    def test_needs_a_positive_vol(self):
+        with pytest.raises(InvalidParameterError):
+            black76_derivatives(1.0, 1.0, 1.0, 0.0, 0.01)
 
 
 def _loaded_by_cli_import(*modules):

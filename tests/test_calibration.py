@@ -15,6 +15,7 @@ from polydiv.calibration import (
     FuturesQuote,
     MarketData,
     StockIvQuote,
+    FREE_NAMES,
     calibrate,
     objective,
     pricing_errors,
@@ -275,6 +276,67 @@ class TestObjective:
         assert objective(vec, market, cfg) == pytest.approx(expect, rel=1e-12)
 
 
+class TestExactJacobian:
+    """The Jacobian each stage hands ``least_squares`` against central
+    differences of the cold residual (no started fits), at the snapshot fit
+    and at random interior points of the box."""
+
+    STAGES = {5: FREE_NAMES, 3: ("b", "q", "d0"), 2: ("sigma", "nu1")}
+    KINDS = {5: ("futures", "stock_iv", "dividend_iv"), 3: ("futures",),
+             2: ("stock_iv", "dividend_iv")}
+
+    @staticmethod
+    def exact(monkeypatch, market, config, point):
+        """(coordinates, rows' kinds, Jacobian) of each stage at `point`, each
+        from that stage's first, cold, residual call."""
+        seen = []
+
+        def at_point(fun, x0, jac, **kwargs):
+            idx = [FREE_NAMES.index(n) for n in TestExactJacobian.STAGES[len(x0)]]
+            v = point[idx].copy()
+            fun(v)
+            seen.append((idx, TestExactJacobian.KINDS[len(x0)], jac(v)))
+            return SimpleNamespace(x=v, nfev=1, njev=1, status=1, message="one call")
+
+        monkeypatch.setattr(scipy.optimize, "least_squares", at_point)
+        calibrate(market, config)
+        return seen
+
+    @staticmethod
+    def central(market, config, point, idx, kinds, rel=1e-3):
+        def cold(z):
+            params, d0 = calibration._params_from_free(z, config)
+            rows = pricing_errors(params, d0, market, config.n_moments)
+            return calibration._residuals([r for r in rows if r.kind in kinds], config)
+
+        columns = []
+        for i in idx:
+            step = np.zeros(5)
+            step[i] = rel * abs(point[i])
+            columns.append((cold(point + step) - cold(point - step)) / (2 * step[i]))
+        return np.array(columns).T
+
+    @pytest.mark.parametrize("two_stage", [False, True], ids=["joint", "two_stage"])
+    def test_matches_central_differences(self, snapshot_fit, monkeypatch, two_stage):
+        market, res = snapshot_fit
+        config = CalibConfig(two_stage=two_stage)
+        p = res.params
+        fit = [p.b[0], p.r - p.a - p.b[0] / p.a - p.beta[0, 0], p.sigma, p.nu[0], res.d0]
+        points = np.vstack((fit, np.random.default_rng(5).uniform(
+            [0.002, 1e-3, 0.15, 0.005, 0.02], [0.03, 0.1, 0.45, 0.04, 0.06], size=(3, 5))))
+        shapes = [(10, 3), (2, 2)] if two_stage else [(12, 5)]
+        for point in points:
+            stages = self.exact(monkeypatch, market, config, point)
+            assert [jac.shape for _, _, jac in stages] == shapes
+            for idx, kinds, jac in stages:
+                fd = self.central(market, config, point, idx, kinds)
+                # every entry within 1e-3 of its row's largest derivative: the
+                # differences scatter by up to 1.6e-4 of it, while a dropped
+                # strike or factor-level term, or dbeta/db = 0, moves an entry
+                # by 0.03 to 20 times it
+                assert np.all(np.abs(jac - fd) <= 1e-3 * np.abs(fd).max(axis=1, keepdims=True))
+
+
 class TestCalibrate:
     def test_self_calibration_recovery(self):
         market = synthetic_market()
@@ -425,9 +487,12 @@ class TestCalibrate:
         assert stages[1]["residuals"] == ["IVSTOCK", "IVDIV"]
         for s in stages:
             assert sorted(s) == ["maxent_fits", "message", "method", "newton_iterations",
-                                 "nfev", "parameters", "residuals", "seconds", "status",
-                                 "unpriced"]
+                                 "nfev", "njev", "parameters", "residuals", "seconds",
+                                 "status", "unpriced"]
             assert s["unpriced"] == 0
+            # a Jacobian at the start and after each accepted step, each made
+            # from the residual call just before it
+            assert 1 <= s["njev"] <= s["nfev"]
             assert s["method"] == "trf" and s["seconds"] > 0.0
         # futures need no maxent fit; every stage-2 evaluation fits both options
         assert (stages[0]["maxent_fits"], stages[0]["newton_iterations"]) == (0, 0)

@@ -557,7 +557,7 @@ class TestStartedFit:
     @pytest.mark.parametrize("bump", [1e-5, -1e-5])
     @pytest.mark.parametrize("underlying", ["stock", "dividend"])
     def test_nearby_start_matches_the_cold_fit(self, underlying, bump):
-        # a finite-difference step in (sigma, nu1), as calibration takes
+        # a small step in (sigma, nu1), as between calibration trial points
         kw = dict(r=0.01, a=0.2, sigma=0.2813, b=0.0103, beta=-0.3439, nu=0.0194)
         st = reference_state()
         spec = OptionSpec("call", underlying, 1.0, 1.0, 0.01,
@@ -606,15 +606,17 @@ class TestStartedFit:
             fit_maxent(m, start=bad)
 
     def test_cold_fit_is_unchanged(self):
-        # recorded before starts existed (numpy 2.4, this rule and tolerance):
-        # lognormal moments with sigma^2 = 0.04
+        # recorded with power tables made by repeated multiplication (numpy
+        # 2.4, this rule and tolerance; float ** tables gave multipliers within
+        # 1.3e-11 relative of these, in as many iterations): lognormal moments
+        # with sigma^2 = 0.04
         d = fit_maxent([math.exp(0.02 * k * (k - 1)) for k in range(7)])
         assert [v.hex() for v in d.lambdas] == [
-            "0x1.85d158aa3f8c2p+5", "-0x1.6df4eef73beedp+7", "0x1.16fd62e83321fp+8",
-            "-0x1.cdc29383e7ea1p+7", "0x1.bcf77dd3d256bp+6", "-0x1.ce74963086b87p+4",
-            "0x1.8f54e216f2427p+1"]
+            "0x1.85d158aa38e3ap+5", "-0x1.6df4eef7337b3p+7", "0x1.16fd62e82a913p+8",
+            "-0x1.cdc29383d62a0p+7", "0x1.bcf77dd3be807p+6", "-0x1.ce74963070090p+4",
+            "0x1.8f54e216dd81ap+1"]
         assert d.iterations == 79
-        assert d.residual.hex() == "0x1.69871be45667ap-47"
+        assert d.residual.hex() == "0x1.6e391247b7f15p-47"
 
     def test_price_passes_a_start_of_its_own_count_only(self, monkeypatch):
         p, st = reference_params(0.2), reference_state()
@@ -677,3 +679,51 @@ class TestPriceOption:
         p, st = reference_params(0.2), reference_state()
         spec = OptionSpec(kind, "dividend", 0.03, 1.0, p.r, (1.0, 1.0))
         assert price_option(p, None, st, spec, 6) == (math.exp(-p.r) * payoff, None)
+
+
+class TestPriceTangents:
+    """Derivatives of a maxent price from the dual of its fit, without a refit."""
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        _clear_memo()
+        yield
+        _clear_memo()
+
+    @staticmethod
+    def atm_spec(p, st, underlying, kind="call"):
+        # the three-month stock call and the first-window dividend call, ATM
+        if underlying == "stock":
+            return OptionSpec(kind, "stock", 1.0, 0.25, p.r)
+        return OptionSpec(kind, "dividend", dividend_futures(p, None, st, 0.0, 0.0, 1.0), 1.0,
+                          p.r, (0.0, 1.0))
+
+    @pytest.mark.parametrize("underlying,tol", [("stock", 1e-6), ("dividend", 1e-5)])
+    def test_sigma_derivative_matches_refits(self, underlying, tol):
+        # dC/dsigma = (dC/dM)(dM/dsigma) from the N = 6 fit, against central
+        # differences of cold N = 6 fits at sigma -+ 1e-3, which agree with it
+        # to 2.7e-8 (stock) and 9.5e-7 (dividend)
+        p, st = reference_params(0.2), reference_state()
+        spec = self.atm_spec(p, st, underlying)
+        value, density = price_option(p, None, st, spec, 6)
+        d_value, _ = maxent.price_tangents(p, None, st, spec, density)
+        h = 1e-3
+        up, down = (price_option(ModelParams.single_factor(
+            r=p.r, a=p.a, sigma=p.sigma + s * h, b=p.b[0], beta=p.beta[0, 0], nu=p.nu[0]),
+            None, st, spec, 6)[0] for s in (1, -1))
+        assert d_value[2] == pytest.approx((up - down) / (2 * h), rel=tol)
+
+    @pytest.mark.parametrize("kind", ["call", "put"])
+    @pytest.mark.parametrize("underlying", ["stock", "dividend"])
+    def test_strike_derivative_is_the_discounted_probability(self, underlying, kind):
+        # the fit does not depend on the strike: central differences in K of its integral
+        p, st = reference_params(0.2), reference_state()
+        spec = self.atm_spec(p, st, underlying, kind)
+        _, density = price_option(p, None, st, spec, 6)
+        _, d_strike = maxent.price_tangents(p, None, st, spec, density)
+        h = 1e-6 * spec.strike
+        up, down = (math.exp(-spec.rate * spec.expiry) * integrate_payoff(
+            density, option_payoff(kind, strike), points=(strike,))
+            for strike in (spec.strike + h, spec.strike - h))
+        assert d_strike == pytest.approx((up - down) / (2 * h), rel=1e-8)
+        assert (d_strike < 0) == (kind == "call")

@@ -235,6 +235,50 @@ class TestSimulatePaths:
         assert np.all(bundle.terminal_x[single] >= d0 / 0.2)
 
 
+class TestEulerMeans:
+    """Degree one of the Euler scheme in closed form.  While no projection
+    fires, one step maps the means of (x, y) by the drift step I + A dt (the
+    compensated jumps and the noise have mean zero) and accrues the
+    trapezoid 0.5 (1'y + 1'y') dt, so n steps give the simulator's own
+    means, with no discretization slack."""
+
+    Z_CHECK = 3.890591886413094      # two-sided normal quantile, tail mass 1e-4
+
+    @staticmethod
+    def euler_means(params, state, steps_per_year, n_steps, window):
+        """E[X_n], E[Y_n] and E[window sum] of the Euler scheme."""
+        dt = 1.0 / steps_per_year
+        d = params.d
+        drift = np.zeros((1 + d, 1 + d))
+        drift[0] = [params.r] + [-1.0] * d
+        drift[1:, 0] = params.b
+        drift[1:, 1:] = params.beta
+        xy = np.concatenate(([state.x], state.y))
+        first, last = (round(t * steps_per_year) for t in window)
+        accrued = 0.0
+        for i in range(n_steps):
+            nxt = xy + dt * drift @ xy
+            if first <= i < last:
+                accrued += 0.5 * dt * (xy[1:].sum() + nxt[1:].sum())
+            xy = nxt
+        return xy[0], xy[1:], accrued
+
+    @pytest.mark.parametrize("steps_per_year", [63, 252])
+    def test_sample_means_match_the_euler_map(self, params_a02, state0, steps_per_year):
+        jump = JumpSpec(lam=0.2, dist=TwoPoint(z1=-0.4, p=0.35, z2=0.5))
+        window = (0.25, 0.75)
+        cfg = SimConfig(n_paths=4 * BLOCK_SIZE, horizon=1.0, steps_per_year=steps_per_year,
+                        seed=19, windows=(window,))
+        bundle = simulate_paths(params_a02, jump, state0, cfg)
+        assert bundle.projection_count == 0
+        x, y, accrued = self.euler_means(params_a02, state0, steps_per_year, steps_per_year,
+                                         window)
+        for sample, mean in ((bundle.terminal_x, x), (bundle.terminal_y[:, 0], y[0]),
+                             (bundle.window_sums[window], accrued)):
+            se = sample.std(ddof=1) / math.sqrt(sample.size)
+            assert abs(sample.mean() - mean) <= self.Z_CHECK * se
+
+
 class TestMcPrice:
     def test_constant_payoff(self, params_a02, state0):
         bundle = simulate_paths(params_a02, None, state0,
