@@ -28,10 +28,11 @@ from .black import black76_derivatives, implied_vol
 from .errors import (CalibrationError, DomainError, InvalidParameterError, MarketDataError,
                      PolydivError)
 from .maxent import OptionSpec, fit_fields, price_option, price_tangents
+from .model import ModelParams, State, validate_admissibility
+from .moments import futures_strip
 # price_* and *_futures are kept for perfbench's tracer, which wraps them here
 from .maxent import price_dividend_option, price_stock_option  # noqa: F401
-from .model import ModelParams, State, require_admissible, validate_admissibility
-from .moments import dividend_futures, futures_strip, stock_futures  # noqa: F401
+from .moments import dividend_futures, stock_futures  # noqa: F401
 
 FREE_NAMES = ("b", "q", "sigma", "nu1", "d0")
 # Floor of the cap slack q: at q = 0, validate_admissibility's r - a - beta
@@ -193,60 +194,57 @@ def params_from_vector(vec, config):
     return ModelParams.single_factor(r=config.r, a=config.a, sigma=sigma, b=b, beta=beta, nu=nu), d0
 
 
+def _forwards(params, state, market, tangents=False):
+    """The strip's futures prices (per unit spot), then the stock forward if
+    a stock vol is quoted, from one ``futures_strip`` call: values, or with
+    ``tangents`` its rows of value and derivatives in (b, beta, D0)."""
+    expiries = () if market.stock_iv is None else (market.stock_iv.expiry,)
+    return np.concatenate(futures_strip(params, state, 0.0, [(f.t0, f.t1) for f in market.futures],
+                                        expiries, tangents=tangents))
+
+
+def _vol_legs(market, forwards, rate):
+    """The ATM calls the vols quote, as (id, kind, quote, index of the
+    call's forward in ``forwards``, OptionSpec).  The stock call is struck
+    at spot 1, the dividend call at its futures price."""
+    legs = []
+    if market.stock_iv is not None:
+        q = market.stock_iv
+        legs.append(("IVSTOCK", "stock_iv", q.iv, len(market.futures),
+                     OptionSpec(kind="call", underlying="stock", strike=1.0, expiry=q.expiry,
+                                rate=rate)))
+    if market.dividend_iv is not None:
+        k = market.futures.index(market.futures_by_id(market.dividend_iv.futures_id))
+        f = market.futures[k]
+        legs.append(("IVDIV", "dividend_iv", market.dividend_iv.iv, k,
+                     OptionSpec(kind="call", underlying="dividend", strike=float(forwards[k]),
+                                expiry=f.t1, rate=rate, window=(f.t0, f.t1))))
+    return legs
+
+
 def pricing_errors(params, d0, market, n_moments, start=None):
     """Model prices and absolute errors for every instrument in the market.
 
     Futures legs are priced at the normalized spot X0 = 1 and scaled back to
-    index points; option legs are converted to the matching implied-vol
-    convention (spot lognormal with the model-consistent forward for the
-    stock, futures lognormal for the dividend option).  ``start``, a dict
+    index points; each vol is the Black-76 vol of its ATM call on the
+    model forward of its underlying.  ``start``, a dict
     {"stock" or "dividend": density}, seeds each option's maxent fit with
     the last density fitted on that underlying and is updated after every
     option priced; without it the fits are cold.
     """
     state = State(c=0.0, x=1.0, y=[d0])
-    rows = []
-
-    def add(id, kind, quote, model, fit=None):
-        rows.append(PricedInstrument(id=id, kind=kind, market=quote, model=model,
-                                     abs_error=abs(model - quote), **(fit or {})))
-
-    def price(spec):
+    forwards = _forwards(params, state, market)
+    rows = [PricedInstrument(id=f.id, kind="futures", market=f.quote, model=model,
+                             abs_error=abs(model - f.quote))
+            for f, model in zip(market.futures, (market.spot * forwards).tolist())]
+    for id, kind, quote, k, spec in _vol_legs(market, forwards, params.r):
         value, density = price_option(params, None, state, spec, n_moments,
                                       None if start is None else start.get(spec.underlying))
         if start is not None and density is not None:
             start[spec.underlying] = density
-        return value, fit_fields(density, n_moments)
-
-    # the strip, the stock-IV forward and the dividend-IV forward in one call
-    expiries = () if market.stock_iv is None else (market.stock_iv.expiry,)
-    strip, stock_fwd = futures_strip(params, state, 0.0,
-                                     [(f.t0, f.t1) for f in market.futures], expiries)
-    for f, value in zip(market.futures, strip):
-        add(f.id, "futures", f.quote, market.spot * float(value))
-    if market.stock_iv is not None:
-        q = market.stock_iv
-        spec = OptionSpec(
-            kind="call", underlying="stock", strike=1.0, expiry=q.expiry, rate=params.r
-        )
-        value, fit = price(spec)
-        fwd = float(stock_fwd[0])
-        carry = params.r - math.log(fwd) / q.expiry
-        model_iv = implied_vol(
-            value, 1.0, 1.0, q.expiry, params.r, "black-scholes", dividend_yield=carry
-        )
-        add("IVSTOCK", "stock_iv", q.iv, model_iv, fit)
-    if market.dividend_iv is not None:
-        q = market.dividend_iv
-        f = market.futures_by_id(q.futures_id)
-        fwd = float(strip[market.futures.index(f)])
-        spec = OptionSpec(
-            kind="call", underlying="dividend", strike=fwd, expiry=f.t1,
-            rate=params.r, window=(f.t0, f.t1),
-        )
-        value, fit = price(spec)
-        add("IVDIV", "dividend_iv", q.iv,
-            implied_vol(value, fwd, fwd, f.t1, params.r, "black76"), fit)
+        iv = implied_vol(value, float(forwards[k]), spec.strike, spec.expiry, params.r, "black76")
+        rows.append(PricedInstrument(id=id, kind=kind, market=quote, model=iv,
+                                     abs_error=abs(iv - quote), **fit_fields(density, n_moments)))
     return tuple(rows)
 
 
@@ -257,7 +255,6 @@ def objective(param_vector, market, config):
     inequality, sigma or nu1 < 0, or D0 outside [0, a].
     """
     params, d0 = params_from_vector(param_vector, config)
-    require_admissible(params)
     return _misfit(pricing_errors(params, d0, market, config.n_moments), config)
 
 
@@ -287,33 +284,21 @@ def _pricing_tangents(params, d0, market, rows, densities):
     is flat.
     """
     state = State(c=0.0, x=1.0, y=[d0])
-    expiries = () if market.stock_iv is None else (market.stock_iv.expiry,)
-    strip, stock_fwd = futures_strip(params, state, 0.0, [(f.t0, f.t1) for f in market.futures],
-                                     expiries, tangents=True)
+    forwards = _forwards(params, state, market, tangents=True)
     # their columns are (b, beta, D0)
-    strip_d, fwd_d = (np.insert(t[:, 1:], [2, 2], 0.0, axis=1) for t in (strip, stock_fwd))
-    vols = {row.kind: row.model for row in rows}
-
-    def vol(kind, spec, forward, d_forward, d_strike):
-        if vols[kind] == 0.0:
-            return np.zeros(5)
+    d_forwards = np.insert(forwards[:, 1:], [2, 2], 0.0, axis=1)
+    out = list(market.spot * d_forwards[:len(market.futures)])
+    for (_, _, _, k, spec), row in zip(_vol_legs(market, forwards[:, 0], params.r),
+                                       rows[len(market.futures):]):
+        if row.model == 0.0:
+            out.append(np.zeros(5))
+            continue
         d_value, value_strike = price_tangents(params, None, state, spec,
                                                densities[spec.underlying])
-        black = black76_derivatives(forward, spec.strike, spec.expiry, vols[kind], spec.rate)
-        return (d_value - black.forward * d_forward
-                + (value_strike - black.strike) * d_strike) / black.vega
-
-    out = list(market.spot * strip_d)
-    if market.stock_iv is not None:
-        spec = OptionSpec(kind="call", underlying="stock", strike=1.0,
-                          expiry=market.stock_iv.expiry, rate=params.r)
-        out.append(vol("stock_iv", spec, stock_fwd[0, 0], fwd_d[0], np.zeros(5)))
-    if market.dividend_iv is not None:
-        k = market.futures.index(market.futures_by_id(market.dividend_iv.futures_id))
-        f = market.futures[k]
-        spec = OptionSpec(kind="call", underlying="dividend", strike=strip[k, 0], expiry=f.t1,
-                          rate=params.r, window=(f.t0, f.t1))
-        out.append(vol("dividend_iv", spec, strip[k, 0], strip_d[k], strip_d[k]))
+        black = black76_derivatives(forwards[k, 0], spec.strike, spec.expiry, row.model, spec.rate)
+        d_strike = d_forwards[k] if spec.underlying == "dividend" else 0.0
+        out.append((d_value - black.forward * d_forwards[k]
+                    + (value_strike - black.strike) * d_strike) / black.vega)
     return np.array(out)
 
 
@@ -359,11 +344,10 @@ def _fit_stage(z, names, market, kinds, config, budget):
     started = time.perf_counter()
     idx = [FREE_NAMES.index(n) for n in names]
     lower, upper = np.array([[0.0, Q_FLOOR, 0.0, 0.0, 0.0], [np.inf] * 4 + [config.a]])[:, idx]
-    fitted = []
     start = {}
     iterations = []
     unpriced = 0
-    priced = {}         # the last priced point: inputs, rows and fits
+    priced = {}         # the last priced point: inputs, rows, the fitted ones and fits
 
     def residuals(v):
         nonlocal unpriced
@@ -372,26 +356,25 @@ def _fit_stage(z, names, market, kinds, config, budget):
         try:
             rows = pricing_errors(params, d0, market, config.n_moments, start)
         except PolydivError:
-            if not fitted:
+            if not priced:
                 raise
             unpriced += 1
-            return np.full(len(fitted), 1e6)      # unpriceable: a large, finite misfit
-        priced.update(x=v.copy(), params=params, d0=d0, rows=rows, densities=dict(start))
+            return np.full(len(priced["fitted"]), 1e6)      # unpriceable: a large, finite misfit
         iterations.extend(row.newton_iterations for row in rows
                           if row.newton_iterations is not None)
-        rows = [row for row in rows if row.kind in kinds]
-        fitted[:] = [row.id for row in rows]
-        return _residuals(rows, config)
+        keep = [k for k, row in enumerate(rows) if row.kind in kinds]
+        priced.update(x=v.copy(), params=params, d0=d0, rows=rows, keep=keep,
+                      fitted=[rows[k] for k in keep], densities=dict(start))
+        return _residuals(priced["fitted"], config)
 
     def jacobian(v):
         if not np.array_equal(v, priced["x"]):
             raise CalibrationError(f"a Jacobian needs the fits of a priced point; {v} was "
                                    f"not the last one priced, {priced['x']} was")
-        rows = priced["rows"]
-        keep = [k for k, row in enumerate(rows) if row.kind in kinds]
-        tangents = _pricing_tangents(priced["params"], priced["d0"], market, rows,
+        tangents = _pricing_tangents(priced["params"], priced["d0"], market, priced["rows"],
                                      priced["densities"]) @ _free_tangents(config)
-        return _weights([rows[k] for k in keep], config)[:, None] * tangents[np.ix_(keep, idx)]
+        return (_weights(priced["fitted"], config)[:, None]
+                * tangents[np.ix_(priced["keep"], idx)])
 
     # no gradient test (gtol): it scales each gradient entry by the distance to
     # the bound the entry points at, so next to q = 0 it stops a fit that the
@@ -402,11 +385,11 @@ def _fit_stage(z, names, market, kinds, config, budget):
         method="trf", gtol=None, max_nfev=budget // (len(idx) + 1),
     )
     z[idx] = sol.x
-    return {"parameters": list(names), "residuals": fitted, "method": "trf",
-            "nfev": int(sol.nfev), "njev": int(sol.njev), "status": int(sol.status),
-            "message": str(sol.message), "maxent_fits": len(iterations),
-            "newton_iterations": sum(iterations), "unpriced": unpriced,
-            "seconds": time.perf_counter() - started}
+    return {"parameters": list(names), "residuals": [row.id for row in priced["fitted"]],
+            "method": "trf", "nfev": int(sol.nfev), "njev": int(sol.njev),
+            "status": int(sol.status), "message": str(sol.message),
+            "maxent_fits": len(iterations), "newton_iterations": sum(iterations),
+            "unpriced": unpriced, "seconds": time.perf_counter() - started}
 
 
 def calibrate(market, config):

@@ -316,15 +316,7 @@ class TestExactJacobian:
             columns.append((cold(point + step) - cold(point - step)) / (2 * step[i]))
         return np.array(columns).T
 
-    @pytest.mark.parametrize("two_stage", [False, True], ids=["joint", "two_stage"])
-    def test_matches_central_differences(self, snapshot_fit, monkeypatch, two_stage):
-        market, res = snapshot_fit
-        config = CalibConfig(two_stage=two_stage)
-        p = res.params
-        fit = [p.b[0], p.r - p.a - p.b[0] / p.a - p.beta[0, 0], p.sigma, p.nu[0], res.d0]
-        points = np.vstack((fit, np.random.default_rng(5).uniform(
-            [0.002, 1e-3, 0.15, 0.005, 0.02], [0.03, 0.1, 0.45, 0.04, 0.06], size=(3, 5))))
-        shapes = [(10, 3), (2, 2)] if two_stage else [(12, 5)]
+    def check(self, monkeypatch, market, config, points, shapes):
         for point in points:
             stages = self.exact(monkeypatch, market, config, point)
             assert [jac.shape for _, _, jac in stages] == shapes
@@ -335,6 +327,32 @@ class TestExactJacobian:
                 # strike or factor-level term, or dbeta/db = 0, moves an entry
                 # by 0.03 to 20 times it
                 assert np.all(np.abs(jac - fd) <= 1e-3 * np.abs(fd).max(axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("two_stage", [False, True], ids=["joint", "two_stage"])
+    def test_matches_central_differences(self, snapshot_fit, monkeypatch, two_stage):
+        market, res = snapshot_fit
+        config = CalibConfig(two_stage=two_stage)
+        p = res.params
+        fit = [p.b[0], p.r - p.a - p.b[0] / p.a - p.beta[0, 0], p.sigma, p.nu[0], res.d0]
+        points = np.vstack((fit, np.random.default_rng(5).uniform(
+            [0.002, 1e-3, 0.15, 0.005, 0.02], [0.03, 0.1, 0.45, 0.04, 0.06], size=(3, 5))))
+        shapes = [(10, 3), (2, 2)] if two_stage else [(12, 5)]
+        self.check(monkeypatch, market, config, points, shapes)
+
+    @pytest.mark.parametrize("two_stage", [False, True], ids=["joint", "two_stage"])
+    @pytest.mark.parametrize("variant", ["no_stock_iv", "no_dividend_iv", "dividend_iv_on_df3"])
+    def test_one_vol_and_moved_vol_markets(self, monkeypatch, variant, two_stage):
+        # each vol leg finds its forward by index into the strip and the stock
+        # forward: drop either vol, or point the dividend vol at another window
+        market = parse_market_csv(SNAPSHOT_CSV)
+        market = {"no_stock_iv": replace(market, stock_iv=None),
+                  "no_dividend_iv": replace(market, dividend_iv=None),
+                  "dividend_iv_on_df3": replace(market, dividend_iv=replace(
+                      market.dividend_iv, futures_id="DF3"))}[variant]
+        vols = market.n_instruments - len(market.futures)
+        shapes = [(10, 3), (vols, 2)] if two_stage else [(market.n_instruments, 5)]
+        self.check(monkeypatch, market, CalibConfig(two_stage=two_stage),
+                   [np.array([0.01, 0.02, 0.28, 0.02, 0.037])], shapes)
 
 
 class TestCalibrate:
