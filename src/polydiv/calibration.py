@@ -137,8 +137,8 @@ class CalibConfig:
     def __post_init__(self):
         if not self.a > 0:
             raise InvalidParameterError(f"need a > 0, got {self.a}")
-        if self.weight_iv < 0:
-            raise InvalidParameterError(f"need weight_iv >= 0, got {self.weight_iv}")
+        if not 0 <= self.weight_iv < math.inf:
+            raise InvalidParameterError(f"need a finite weight_iv >= 0, got {self.weight_iv}")
         if self.n_moments < 2:
             raise InvalidParameterError(f"need n_moments >= 2, got {self.n_moments}")
         # the start plus one Jacobian in every stage: 1 + 5 calls jointly, or
@@ -206,7 +206,8 @@ def _forwards(params, state, market, tangents=False):
 def _vol_legs(market, forwards, rate):
     """The ATM calls the vols quote, as (id, kind, quote, index of the
     call's forward in ``forwards``, OptionSpec).  The stock call is struck
-    at spot 1, the dividend call at its futures price."""
+    at spot 1, the dividend call at its futures price; at a futures price
+    of 0 (b = D0 = 0: no dividends) its OptionSpec is None."""
     legs = []
     if market.stock_iv is not None:
         q = market.stock_iv
@@ -218,7 +219,8 @@ def _vol_legs(market, forwards, rate):
         f = market.futures[k]
         legs.append(("IVDIV", "dividend_iv", market.dividend_iv.iv, k,
                      OptionSpec(kind="call", underlying="dividend", strike=float(forwards[k]),
-                                expiry=f.t1, rate=rate, window=(f.t0, f.t1))))
+                                expiry=f.t1, rate=rate, window=(f.t0, f.t1))
+                     if forwards[k] > 0 else None))
     return legs
 
 
@@ -238,11 +240,14 @@ def pricing_errors(params, d0, market, n_moments, start=None):
                              abs_error=abs(model - f.quote))
             for f, model in zip(market.futures, (market.spot * forwards).tolist())]
     for id, kind, quote, k, spec in _vol_legs(market, forwards, params.r):
-        value, density = price_option(params, None, state, spec, n_moments,
-                                      None if start is None else start.get(spec.underlying))
-        if start is not None and density is not None:
-            start[spec.underlying] = density
-        iv = implied_vol(value, float(forwards[k]), spec.strike, spec.expiry, params.r, "black76")
+        iv, density = 0.0, None     # no spec: a call on zero dividends, worth its intrinsic 0
+        if spec is not None:
+            value, density = price_option(params, None, state, spec, n_moments,
+                                          None if start is None else start.get(spec.underlying))
+            if start is not None and density is not None:
+                start[spec.underlying] = density
+            iv = implied_vol(value, float(forwards[k]), spec.strike, spec.expiry, params.r,
+                             "black76")
         rows.append(PricedInstrument(id=id, kind=kind, market=quote, model=iv,
                                      abs_error=abs(iv - quote), **fit_fields(density, n_moments)))
     return tuple(rows)

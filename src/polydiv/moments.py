@@ -106,11 +106,25 @@ def conditional_moments(params, jump, state, t, T, n):
     return MomentSet(basis=basis, t=t, T=T, values=values)
 
 
+def _drift(params, rate):
+    """The drift matrix A = ``[[0, 0, 1'], [0, r - rate, -1'], [0, b, beta -
+    rate I]]`` of the mean of (C, X, Y) discounted at `rate`, where C
+    accrues the discounted dividends."""
+    d = params.d
+    mat = np.zeros((2 + d, 2 + d))
+    mat[0, 2:] = 1.0
+    mat[1, 1] = params.r - rate
+    mat[1, 2:] = -1.0
+    mat[2:, 1] = params.b
+    mat[2:, 2:] = params.beta - rate * np.eye(d)
+    return mat
+
+
 def _forward_means(params, state, t, dates, rate=0.0, tangents=False):
     """E_t[(C_s - C_t, X_s, Y_s)] discounted at `rate`, for each date s >= t, in
     request order: the mean is carried forward from (0, x, y) over the sorted
-    dates by the drift matrix A = ``[[0, 0, 1'], [0, r - rate, -1'], [0, b,
-    beta - rate I]]``, exponentiated in one stacked call, once per distinct step.
+    dates by the drift matrix A of :func:`_drift`, exponentiated in one
+    stacked call, once per distinct step.
 
     With ``tangents`` each date gets a (1 + 2d + d^2, 2 + d) array: the mean,
     then its derivatives in b_k, beta_kl (row-major) and y_k.  The step is
@@ -120,12 +134,7 @@ def _forward_means(params, state, t, dates, rate=0.0, tangents=False):
     exponential.  The mean is linear in y, so the y tangents start at the
     unit vectors and have no E."""
     d = params.d
-    mat = np.zeros((2 + d, 2 + d))
-    mat[0, 2:] = 1.0
-    mat[1, 1] = params.r - rate
-    mat[1, 2:] = -1.0
-    mat[2:, 1] = params.b
-    mat[2:, 2:] = params.beta - rate * np.eye(d)
+    mat = _drift(params, rate)
     start = np.concatenate(([0.0, state.x], state.y))
     if tangents:
         m, q = 2 + d, d + d * d
@@ -311,36 +320,25 @@ def pv_dividends(params, state, horizon):
     identity ``pv + discounted_terminal == state.x`` holds to numerical
     precision for every horizon.
     """
-    if horizon < 0:
-        raise InvalidParameterError(f"need horizon >= 0, got {horizon}")
+    if not 0 <= horizon < math.inf:
+        raise InvalidParameterError(f"need a finite horizon >= 0, got {horizon}")
     require_admissible(params)
     acc, x = _forward_means(params, state, 0.0, (horizon,), rate=params.r)[0, :2]
     return PresentValue(pv_dividends=float(acc), discounted_terminal=float(x))
 
 
-def pv_dividends_limit(params, state, horizon=200.0, check_horizon=150.0, tol=1e-6):
-    """Infinite-horizon dividend PV, approximated at a long finite horizon.
+def pv_dividends_limit(params, state):
+    """Dividend PV over [t, infinity), the limit of :func:`pv_dividends`:
+    -[0, 1'] K^-1 (x, y), with K = ``[[0, -1'], [b, beta - r I]]`` the
+    discount-tilted (x, y) drift, and a discounted terminal value of 0.
 
-    Raises :class:`DomainError` if the PV has not converged between the
-    check horizon and the final horizon (relative to the stock price).
-
-    The PV approaches its limit like exp(-kappa T), where kappa is the
-    slowest decay rate of the discount-tilted (x, y) drift
-    ``[[0, -1'], [b, beta - r I]]`` (minus its spectral abscissa). The
-    default horizons (200/150 years, ``tol=1e-6``) therefore converge only
-    when kappa >= ln(1e6)/150 ~ 0.092/year. The reference parameter sets
-    decay at 0.032/year, so at the defaults this function raises
-    :class:`DomainError` on them. Size the horizons from kappa instead:
-    ``check_horizon >= ln(1/tol)/kappa`` (for example 15/kappa at
-    ``tol=1e-6``) and ``horizon`` a few e-foldings beyond it (for example
-    20/kappa).
+    A spectral abscissa of K >= 0 (b = 0 gives the eigenvalue 0) raises
+    :class:`DomainError`: the discounted stock does not vanish, a bubble.
     """
-    far = pv_dividends(params, state, horizon)
-    near = pv_dividends(params, state, check_horizon)
-    if abs(far.pv_dividends - near.pv_dividends) > tol * state.x:
-        raise DomainError(
-            "dividend present value not converged: "
-            f"|PV({horizon}) - PV({check_horizon})| = "
-            f"{abs(far.pv_dividends - near.pv_dividends):.3e} > {tol:g} * x"
-        )
-    return far
+    require_admissible(params)
+    tilted = _drift(params, params.r)[1:, 1:]
+    abscissa = float(np.max(np.linalg.eigvals(tilted).real))
+    if abscissa >= 0:
+        raise DomainError(f"tilted drift spectral abscissa {abscissa:.6g} >= 0: a bubble")
+    w = np.linalg.solve(tilted, np.concatenate(([state.x], state.y)))
+    return PresentValue(pv_dividends=float(-w[1:].sum()), discounted_terminal=0.0)

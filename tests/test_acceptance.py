@@ -8,9 +8,9 @@ roots of s^2 + (r - beta) s + b = 0), so the discounted terminal value is
 0.98240 exp(-0.031997 T) plus a negligible fast mode: 1.633e-3 of the
 initial price at 200 years, below the criterion's 1e-3 bound only beyond
 215.3 years. The test therefore asserts that the tilted spectrum is strictly
-stable (the no-bubble condition, which fails for b = 0) and takes the limit
-at horizons sized in e-foldings of its slowest mode, where
-``pv_dividends_limit`` certifies convergence. The martingale split itself is
+stable (the no-bubble condition, which fails for b = 0), takes the PV limit
+from ``pv_dividends_limit``'s closed form, and bounds the discounted terminal
+value at 20 e-foldings of the slowest mode. The martingale split itself is
 exact, as criterion 2 verifies.
 """
 
@@ -120,17 +120,17 @@ def test_criterion_3a_no_bubble_limit_reference_params():
     if kappa <= 0.0:                         # no-bubble condition violated
         assert _report("3a", False, f"tilted drift spectral abscissa {-kappa:.6f} is not negative")
 
-    horizon, check_horizon = 20.0 / kappa, 15.0 / kappa
-    pv = pv_dividends_limit(params, state, horizon=horizon, check_horizon=check_horizon)
-    terminal_ok = pv.discounted_terminal <= 1e-3 * state.x
+    horizon = 20.0 / kappa
+    pv = pv_dividends_limit(params, state)
+    terminal = pv_dividends(params, state, horizon).discounted_terminal
+    terminal_ok = terminal <= 1e-3 * state.x
     pv_ok = abs(pv.pv_dividends - state.x) <= 1e-3 * state.x
     ok = terminal_ok and pv_ok
     at_200 = pv_dividends(params, state, 200.0).discounted_terminal
     assert _report(
         "3a", ok,
-        f"slowest tilted decay rate kappa = {kappa:.6f}/y; limit at {horizon:.0f}y "
-        f"(converged vs {check_horizon:.0f}y): discounted terminal "
-        f"{pv.discounted_terminal:.2e}, |PV - X0| = {abs(pv.pv_dividends - state.x):.2e} "
+        f"slowest tilted decay rate kappa = {kappa:.6f}/y; discounted terminal at "
+        f"{horizon:.0f}y {terminal:.2e}, limit |PV - X0| = {abs(pv.pv_dividends - state.x):.2e} "
         f"(bounds 1e-3); for information, terminal at 200y = {at_200:.4e}",
     )
 

@@ -139,6 +139,22 @@ class TestPricingErrors:
         assert iv_errors["stock_iv"] <= 0.005
         assert iv_errors["dividend_iv"] <= 0.005
 
+    def test_no_dividend_corner_has_finite_rows(self):
+        # b = D0 = 0 is a corner of the admissible box: dividends are zero
+        # almost surely, so the ATM dividend call, struck at a forward of 0,
+        # is worth its intrinsic 0 and has vol 0 with a flat tangent row
+        market = parse_market_csv(SNAPSHOT_CSV)
+        params, d0 = calibration.params_from_vector([0.0, -0.3, 0.3, 0.02, 0.0], CalibConfig())
+        densities = {}
+        rows = pricing_errors(params, d0, market, 6, densities)
+        assert all(math.isfinite(r.model) and math.isfinite(r.abs_error) for r in rows)
+        div = rows[-1]
+        assert (div.kind, div.model, div.abs_error) == ("dividend_iv", 0.0, div.market)
+        assert (div.moments_used, div.newton_iterations, div.nodes) == (6, None, None)
+        tangents = calibration._pricing_tangents(params, d0, market, rows, densities)
+        assert tangents.shape == (12, 5) and np.all(np.isfinite(tangents))
+        assert np.all(tangents[-1] == 0.0)
+
     def test_deterministic_model_prices_the_point_mass(self):
         # sigma = nu1 = 0: stock and dividends are deterministic, but their
         # variances come out of the moment algebra as rounding, about 1e-16
@@ -495,6 +511,11 @@ class TestCalibrate:
         with pytest.raises(InvalidParameterError, match=f"at least {minimum}"):
             CalibConfig(two_stage=two_stage, max_evals=max_evals)
         CalibConfig(two_stage=two_stage, max_evals=minimum)
+
+    @pytest.mark.parametrize("weight", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+    def test_non_finite_or_negative_iv_weight_rejected(self, weight):
+        with pytest.raises(InvalidParameterError, match="finite weight_iv >= 0"):
+            CalibConfig(weight_iv=weight)
 
     def test_stage_records(self):
         market = synthetic_market()

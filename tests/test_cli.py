@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -8,7 +9,7 @@ import pytest
 import scipy
 
 from polydiv import _blas
-from polydiv.cli import _emit, _encode, parse_market_csv, parse_model_config, run
+from polydiv.cli import _emit, _encode, build_parser, parse_market_csv, parse_model_config, run
 from polydiv.errors import ConfigError, InadmissibleParamsError, MarketDataError, NumericError
 from polydiv.maxent import OptionSpec, price_stock_option
 from polydiv.model import ModelParams, validate_admissibility
@@ -557,6 +558,48 @@ class TestRejectedInputs:
         err = run_rejected(capsys, ["calibrate", "--config", config_path,
                                     "--market", str(tmp_path / "market.csv"), *flags])
         assert err["type"] == "MarketDataError" and "positive and finite" in err["message"]
+
+
+def float_options(parser, path=()):
+    """(command path, option) for every ``type=float`` option of every
+    subcommand, found by walking the parser."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from float_options(sub, path + (name,))
+        elif action.type is float:
+            yield path, action
+
+
+# arguments that make each command valid apart from the flag under test
+VALID_ARGS = {
+    ("price", "futures"): ["--market", BUNDLED_CSV],
+    ("price", "option"): ["--underlying", "dividend", "--window", "0", "1", "--expiry", "1"],
+    ("moments",): ["--T", "1"],
+    ("simulate",): ["--paths", "10"],
+    ("calibrate",): ["--market", BUNDLED_CSV],
+}
+
+
+def non_finite_flag_cases():
+    for path, action in float_options(build_parser()):
+        flag = action.option_strings[-1]
+        if action.nargs is None:
+            # --flag=-inf: argparse reads a bare -inf as an option name
+            values = [[f"{flag}={bad}"] for bad in ("nan", "inf", "-inf")]
+        else:
+            values = [[flag, *(bad if k == slot else "1" for k in range(action.nargs))]
+                      for bad in ("nan", "inf") for slot in range(action.nargs)]
+        for argv in values:
+            yield pytest.param(path, argv, id=" ".join((*path, *argv)))
+
+
+@pytest.mark.parametrize("path,argv", list(non_finite_flag_cases()))
+def test_non_finite_float_flag_is_a_json_error(config_path, capsys, path, argv):
+    code = run([*path, "--config", config_path, *VALID_ARGS.get(path, []), *argv])
+    captured = capsys.readouterr()
+    assert code in (2, 3) and captured.out == ""
+    assert json.loads(captured.err)["error"]["exit_code"] == code
 
 
 class TestEmit:

@@ -6,7 +6,8 @@ import pytest
 from scipy.linalg import expm
 
 import polydiv.moments as moments
-from polydiv.errors import InadmissibleParamsError, InvalidParameterError, NumericError
+from polydiv.errors import (DomainError, InadmissibleParamsError, InvalidParameterError,
+                            NumericError)
 from polydiv.generator import build_basis, build_generator, eval_basis
 from polydiv.model import JumpSpec, ModelParams, State, TwoPoint
 from polydiv.moments import (
@@ -399,8 +400,11 @@ NAN, INF = float("nan"), float("inf")
     (lambda p, s: cumulative_dividend_moments(p, None, s, 0.0, NAN, 2.0, 2), "T0"),
     (lambda p, s: cumulative_dividend_moments(p, None, s, 0.0, 1.0, INF, 2), "T1"),
     (lambda p, s: cumulative_dividend_moments(p, None, s, 0.0, 1.0, NAN, 2), "T1"),
+    (lambda p, s: pv_dividends(p, s, NAN), "horizon"),
+    (lambda p, s: pv_dividends(p, s, INF), "horizon"),
 ], ids=["stock-nan_T", "stock-inf_T", "stock-inf_t", "conditional-inf_T", "conditional-nan_t",
-        "dividend-nan_T0", "dividend-inf_T1", "dividend-nan_T1"])
+        "dividend-nan_T0", "dividend-inf_T1", "dividend-nan_T1", "pv-nan_horizon",
+        "pv-inf_horizon"])
 def test_non_finite_times_rejected_before_any_build(params_a02, state0, monkeypatch, call, name):
     builds = []
     monkeypatch.setattr(moments, "build_generator", lambda *a: builds.append(a))
@@ -441,14 +445,21 @@ class TestPresentValue:
         assert terminals[-1] == pytest.approx(1.6332e-3, rel=1e-3)
 
     def test_limit_helper_converges(self, state0):
-        # the slowest decay mode for these parameters is exp(-0.0320 t), so
-        # the PV difference drops below 1e-6 * x only beyond ~450 years
-        p = reference_params(0.2)
-        pv = pv_dividends_limit(p, state0, horizon=600.0, check_horizon=450.0)
-        assert pv.pv_dividends == pytest.approx(1.0, rel=1e-5)
+        # the closed-form limit is the stock price itself, on the reference
+        # sets and on random admissible ones
+        cases = [(reference_params(a), state0) for a in (0.1, 0.2, 0.3)]
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            for d in (1, 2, 3):
+                p = random_admissible_params(rng, d)
+                cases.append((p, random_state_in_E(rng, p)))
+        for p, state in cases:
+            pv = pv_dividends_limit(p, state)
+            assert abs(pv.pv_dividends - state.x) <= 1e-12 * state.x
+            assert pv.discounted_terminal == 0.0
 
-    def test_limit_helper_reports_nonconvergence(self, state0):
-        from polydiv.errors import DomainError
-        p = reference_params(0.2)
-        with pytest.raises(DomainError):
-            pv_dividends_limit(p, state0, horizon=200.0, check_horizon=150.0)
+    def test_limit_helper_reports_bubble(self, state0):
+        # b = 0 leaves the tilted drift an eigenvalue 0: the discounted stock
+        # keeps 1 - D0 / (r - beta) of its value forever
+        with pytest.raises(DomainError, match="spectral abscissa 0 >= 0"):
+            pv_dividends_limit(b0_params(beta=-0.3439), state0)
