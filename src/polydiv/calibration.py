@@ -163,6 +163,7 @@ class PricedInstrument:
     # how an option leg's maxent fit was made (see maxent.fit_fields); None for futures
     moments_used: int | None = None
     newton_iterations: int | None = None
+    newton_start: str | None = None
     residual: float | None = None
     nodes: int | None = None
     top_coefficient: float | None = None

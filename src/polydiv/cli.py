@@ -300,6 +300,8 @@ def _cmd_price_futures(args):
         market = parse_market_csv(args.market, spot=args.spot, valuation_date=args.valuation_date)
         windows = [(f.id, f.t0, f.t1, f.quote) for f in market.futures]
         scale = market.spot
+    elif args.spot is not None or args.valuation_date is not None:
+        raise ConfigError("--spot and --valuation-date apply to a --market file only")
     else:
         windows = [(f"W{k}", k - 1.0, float(k), None) for k in range(1, 11)]
         scale = 1.0
@@ -437,6 +439,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_calibrate(args):
+    if not args.market:
+        raise ConfigError("calibrate needs a --market CSV")
     params, jump, state, echo = parse_model_config(args.config)
     market = parse_market_csv(args.market, spot=args.spot, valuation_date=args.valuation_date)
     cfg = CalibConfig(

@@ -19,7 +19,14 @@ generator never mixes degrees, a larger moment count extends a line's
 vector by degree and a smaller one reads its prefix, and the record's
 lines share each exponential.  Cold fits go through ``_cold_fit``, an LRU
 cache keyed by the exact bytes of a moment vector, which holds a failed
-fit too.  Prices are bit-identical to cold calls.
+fit too.  From three moments on, ``_cold_fit`` first fits the vector's
+prefix of one moment fewer, through itself, and starts Newton from that
+density with a zero top multiplier (then from the cold starts): the domain
+cut, the standardized coordinate and the panels depend on M_1 and M_2
+alone, so that start is the prefix density exactly.  It is a pure function
+of the moment bytes, so a moment sweep pays for each count once, and a
+price is bit-identical to the memo-free chain of cold fits, whatever the
+memo holds and in whatever order the counts are priced.
 
 A fit may also start from an earlier density with the same moment count
 (``fit_maxent(m, start=...)``): calibration prices each trial point next
@@ -49,7 +56,7 @@ _SUPPORT_WIDTHS = 30.0   # lower support cut for concentrated densities
 _FIT_NODES = 800         # first quadrature size; doubled (up to 4x) if the check fails
 _NEWTON_ITERS, _NEWTON_TOL = 200, 1e-12
 _VERIFY_TOL = 1e-10      # accepted residual, also on the refined rule
-_MEMO_SIZE = 8           # cold fits held: the moment counts of one underlying
+_MEMO_SIZE = 24          # cold fits held: counts 2..6 of four underlyings
 _MEMO_LOCK = threading.Lock()   # guards swapping and extending ``_record``
 
 
@@ -62,7 +69,10 @@ class MaxEntDensity:
     Gauss-Legendre rule the fit was made and verified on, as (a, b, count)
     on the original axis, and ``nodes`` its nodes.  For densities much
     narrower than their domain, ``support_lo`` marks a lower cut below
-    which the fitted mass is zero to double precision.
+    which the fitted mass is zero to double precision.  ``newton_start``
+    names the start Newton converged from: ``"given"`` (a ``start``
+    density), ``"prefix"`` (the fit of one moment fewer), ``"gaussian"`` or
+    ``"exponential"``.
 
     The exponent polynomial is evaluated through its mean-centered,
     std-scaled representation (``gamma``, ``z_center``, ``z_scale``,
@@ -77,6 +87,7 @@ class MaxEntDensity:
     nodes: np.ndarray
     moments: np.ndarray
     iterations: int
+    newton_start: str
     residual: float
     gamma: np.ndarray
     z_center: float
@@ -158,7 +169,7 @@ def _quad_rule(center, width, n, lo=0.0):
 
 
 def _start_points(mu, s0):
-    """Candidate starting coefficients in standardized coordinates.
+    """Named candidate starting coefficients in standardized coordinates.
 
     The two-moment Gaussian start is the unit quadratic there and is nearly
     exact for bump-shaped densities; the exponential start suits wide,
@@ -168,12 +179,12 @@ def _start_points(mu, s0):
     exp_start = np.zeros(n)
     exp_start[0] = s0 / mu[0]
     if n == 1:
-        return [exp_start]
+        return [("exponential", exp_start)]
     gauss = np.zeros(n)
     gauss[1] = 0.5
     if s0 < 0.35 * mu[0]:
-        return [gauss, exp_start]
-    return [exp_start, gauss]
+        return [("gaussian", gauss), ("exponential", exp_start)]
+    return [("exponential", exp_start), ("gaussian", gauss)]
 
 
 def _columns(v, n):
@@ -222,15 +233,14 @@ def _dual_newton(mu, nodes, weights, gamma0, m0, s0):
         phi = weights * np.exp(-(expo - shift))
         total = phi.sum()
         prob = phi / total
-        zmom = zpow.T @ prob            # <z^0 .. z^2N>
         umom = upow.T @ prob            # <u^1 .. u^N>
         log_z = math.log(total) - shift
         merit = log_z + g @ target_z
         resid = np.abs(umom - mu) / mu_abs
-        return zmom, umom, log_z, merit, float(resid.max())
+        return prob, umom, log_z, merit, float(resid.max())
 
     gamma = np.asarray(gamma0, dtype=float).copy()
-    zmom, umom, log_z, merit, residual = state(gamma)
+    prob, umom, log_z, merit, residual = state(gamma)
     best = (gamma.copy(), log_z, residual)
     it = 0
     for it in range(1, _NEWTON_ITERS + 1):
@@ -239,6 +249,8 @@ def _dual_newton(mu, nodes, weights, gamma0, m0, s0):
         # differences first, then the basis change: keeps the gradient noise
         # proportional to the residual instead of to the moment magnitudes
         grad = chg[1:, 1:] @ (mu - umom)
+        # the Hessian's moments, made only here: most line-search candidates are rejected
+        zmom = zpow.T @ prob            # <z^0 .. z^2N>
         hess = zmom[hankel] - np.outer(zmom[1:n + 1], zmom[1:n + 1])
         dscale = 1.0 / np.sqrt(np.maximum(np.diag(hess), 1e-30))
         hs = hess * dscale[:, None] * dscale[None, :]
@@ -254,7 +266,7 @@ def _dual_newton(mu, nodes, weights, gamma0, m0, s0):
         accepted = False
         for _ in range(30):
             cand = gamma + t * step
-            zmom_c, umom_c, log_z_c, merit_c, resid_c = state(cand)
+            prob_c, umom_c, log_z_c, merit_c, resid_c = state(cand)
             # Armijo on the dual merit drives the global phase; once the
             # merit gets too flat to compare reliably, accepting on raw
             # residual decrease keeps the tail convergence going
@@ -263,8 +275,8 @@ def _dual_newton(mu, nodes, weights, gamma0, m0, s0):
             )
             ok_resid = np.isfinite(resid_c) and resid_c < residual * (1.0 - 1e-4)
             if ok_merit or ok_resid:
-                gamma, zmom, umom, log_z, merit, residual = (
-                    cand, zmom_c, umom_c, log_z_c, merit_c, resid_c)
+                gamma, prob, umom, log_z, merit, residual = (
+                    cand, prob_c, umom_c, log_z_c, merit_c, resid_c)
                 accepted = True
                 break
             t *= 0.5
@@ -281,7 +293,7 @@ def _dual_newton(mu, nodes, weights, gamma0, m0, s0):
 
 
 @single_thread
-def fit_maxent(moments, start=None):
+def fit_maxent(moments, start=None, *, _prefix=None):
     """Fit the maximum-entropy density matching raw moments M_0..M_N.
 
     Parameters
@@ -301,6 +313,9 @@ def fit_maxent(moments, start=None):
         If the sequence fails the leading Hankel checks.
     ConvergenceError
         If the dual Newton iteration cannot reach the target residual.
+
+    ``_prefix``, private to ``_cold_fit``, is the density fitted to M_0..M_(N-1):
+    Newton tries it first, with gamma_N = 0 appended.
     """
     m = np.asarray(moments, dtype=float)
     if m.ndim != 1 or m.size < 2:
@@ -325,7 +340,13 @@ def fit_maxent(moments, start=None):
     lo = lo if lo > 0.05 else 0.0
 
     rejected = None      # (error, nodes) of the last fit the refined rule rejected
-    warm = None if start is None else start.gamma
+    if start is not None:
+        warm = [("given", start.gamma)]
+    elif _prefix is not None:
+        # the same cut, coordinate and panels (all from M_1, M_2): the prefix density exactly
+        warm = [("prefix", np.append(_prefix.gamma, 0.0))]
+    else:
+        warm = []
     # the exponent polynomial's standardized coordinate z = (u - m0)/s0
     var = mu[1] - mu[0] ** 2 if n >= 2 else 0.0
     m0, s0 = (mu[0], math.sqrt(var)) if var > 0 else (0.0, 1.0)
@@ -334,8 +355,7 @@ def fit_maxent(moments, start=None):
         u, w = _panel_nodes(panels)
         converged = None
         best = np.inf
-        starts = ([warm] if warm is not None else []) + _start_points(mu, s0)
-        for gamma0 in starts:
+        for origin, gamma0 in warm + _start_points(mu, s0):
             fit = _dual_newton(mu, u, w, gamma0, m0, s0)
             best = min(best, fit[-1])
             if fit[-1] <= _VERIFY_TOL:
@@ -345,7 +365,7 @@ def fit_maxent(moments, start=None):
             # Newton failed from every start; more nodes will not help
             break
         lam_scaled, gamma, log_z, iters, residual = converged
-        warm = gamma
+        warm = [(origin, gamma)]
         # verify the matched moments against a refined quadrature rule,
         # evaluating through the standardized coefficients for stability
         # (Horner's rule, as MaxEntDensity.pdf does)
@@ -366,6 +386,7 @@ def fit_maxent(moments, start=None):
                 nodes=u * scale,
                 moments=m.copy(),
                 iterations=iters,
+                newton_start=origin,
                 residual=float(residual),
                 gamma=gamma.copy(),
                 z_center=float(m0),
@@ -458,27 +479,37 @@ def option_payoff(kind, strike):
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _cold_fit(key):
-    """A cold fit of the moments with bytes ``key``, or the ``ConvergenceError`` it raised."""
+    """A cold fit of the moments with bytes ``key``, or the ``ConvergenceError`` it raised.
+
+    From three moments on, Newton starts from the cold fit of the prefix of
+    one moment fewer when that is a density, and from the cold starts alone
+    when it failed.
+    """
+    m = np.frombuffer(key)
+    prefix = _cold_fit(m[:-1].tobytes()) if m.size > 3 else None
     try:
-        return fit_maxent(np.frombuffer(key))
+        return fit_maxent(m, _prefix=prefix if isinstance(prefix, MaxEntDensity) else None)
     except ConvergenceError as exc:
         return exc
 
 
 def fit_fields(density, n_moments):
-    """How a price was made: the maxent fit's moment count, Newton iterations,
-    residual, quadrature nodes, and two signs of a density that needs the
-    domain cut: gamma_N <= 0 (``top_coefficient``, the standardized top
-    multiplier) and ln pdf(cut) - ln pdf(M_1) near 0 (``cut_log_pdf_ratio``,
-    from the exponent, so it never underflows).  ``None`` for a point mass."""
+    """How a price was made: the maxent fit's moment count, Newton iterations
+    and the start they converged from (``newton_start``), residual,
+    quadrature nodes, and two signs of a density that needs the domain cut:
+    gamma_N <= 0 (``top_coefficient``, the standardized top multiplier) and
+    ln pdf(cut) - ln pdf(M_1) near 0 (``cut_log_pdf_ratio``, from the
+    exponent, so it never underflows).  ``None`` for a point mass."""
     if density is None:
-        return {"moments_used": n_moments, "newton_iterations": None, "residual": None,
-                "nodes": None, "top_coefficient": None, "cut_log_pdf_ratio": None}
+        return {"moments_used": n_moments, "newton_iterations": None, "newton_start": None,
+                "residual": None, "nodes": None, "top_coefficient": None,
+                "cut_log_pdf_ratio": None}
     z_mean, z_cut = (np.array([density.moments[1] / density.scale, 1.0])
                      - density.z_center) / density.z_scale
     exponent = np.concatenate(([0.0], density.gamma))
     return {"moments_used": density.moments.size - 1, "newton_iterations": density.iterations,
-            "residual": density.residual, "nodes": density.nodes.size,
+            "newton_start": density.newton_start, "residual": density.residual,
+            "nodes": density.nodes.size,
             "top_coefficient": float(density.gamma[-1]),
             "cut_log_pdf_ratio": float(polyval(z_mean, exponent) - polyval(z_cut, exponent))}
 
@@ -568,7 +599,8 @@ def price_option(params, jump, state, spec, n_moments, start=None):
     count is numerically unfittable (densities extremely concentrated
     relative to their mean), the fit falls back to fewer moments, never
     below two.  ``start`` (a density or ``None``) seeds the fit of its own
-    moment count, outside the cache; other counts fit cold.
+    moment count, outside the cache; other counts fit cold, each through
+    the cold fits of its prefixes (see ``_cold_fit``).
     """
     raw_moments, strike, discount = _option_inputs(params, jump, state, spec, n_moments)
     payoff = option_payoff(spec.kind, strike)

@@ -68,7 +68,8 @@ def test_count_is_one_inside_priced_calls_and_restored_after(monkeypatch, cold_m
     expm, fit = moments.expm, maxent.fit_maxent
     monkeypatch.setattr(moments, "expm", lambda a: seen.append(("expm", counts())) or expm(a))
     monkeypatch.setattr(maxent, "fit_maxent",
-                        lambda m, start=None: seen.append(("fit", counts())) or fit(m, start=start))
+                        lambda m, start=None, **kw: seen.append(("fit", counts()))
+                        or fit(m, start=start, **kw))
     p, st = reference_params(), reference_state()
     with caller_count(2) as caller:
         price_stock_option(p, None, st, _stock_spec(p), 4)

@@ -87,11 +87,12 @@ class TestPricingErrors:
             [("stock_iv", 6), ("dividend_iv", 6)]
         # and how the fit went; futures carry none of it
         for r in rows:
-            fit = (r.moments_used, r.newton_iterations, r.residual, r.nodes)
+            fit = (r.moments_used, r.newton_iterations, r.newton_start, r.residual, r.nodes)
             if r.kind == "futures":
-                assert fit == (None, None, None, None)
+                assert fit == (None, None, None, None, None)
             else:
                 assert 0 < r.newton_iterations <= 200
+                assert r.newton_start == "prefix"
                 assert 0.0 <= r.residual <= 1e-10
                 assert r.nodes >= 800
 
@@ -164,8 +165,8 @@ class TestPricingErrors:
         assert len(rows) == 12
         assert all(math.isfinite(r.model) and math.isfinite(r.abs_error) for r in rows)
         assert [r.moments_used for r in rows if r.kind != "futures"] == [6, 6]
-        assert all((r.newton_iterations, r.residual, r.nodes, r.top_coefficient,
-                    r.cut_log_pdf_ratio) == (None,) * 5 for r in rows)
+        assert all((r.newton_iterations, r.newton_start, r.residual, r.nodes, r.top_coefficient,
+                    r.cut_log_pdf_ratio) == (None,) * 6 for r in rows)
 
 
 @pytest.fixture(scope="module")
@@ -491,20 +492,22 @@ class TestCalibrate:
         fits = []
         fit = maxent.fit_maxent
 
-        def recorded(m, start=None):
-            density = fit(m, start=start)
-            fits.append((start is not None, density.iterations))
+        def recorded(m, start=None, **kwargs):
+            density = fit(m, start=start, **kwargs)
+            fits.append((len(m) - 1, start is not None, density.iterations))
             return density
 
         maxent._cold_fit.cache_clear()
         monkeypatch.setattr(maxent, "fit_maxent", recorded)
         res = calibrate(parse_market_csv(SNAPSHOT_CSV), CalibConfig(two_stage=True))
         stage2 = res.trace["stages"][1]
-        # the first evaluation and the final pricing fit cold, two options each
-        assert [started for started, _ in fits] == \
-            [False] * 2 + [True] * (stage2["maxent_fits"] - 2) + [False] * 2
-        assert max(iters for started, iters in fits if started) <= 10
-        assert stage2["newton_iterations"] == sum(iters for _, iters in fits[:-2])
+        # the first evaluation and the final pricing fit cold, two options
+        # each, and a cold six-moment fit starts from the cold fits of 2..5
+        cold = [(n, False) for n in range(2, 7)] * 2
+        assert [(n, started) for n, started, _ in fits] == \
+            cold + [(6, True)] * (stage2["maxent_fits"] - 2) + cold
+        assert max(iters for _, started, iters in fits if started) <= 10
+        assert stage2["newton_iterations"] == sum(iters for n, _, iters in fits[:-10] if n == 6)
 
     @pytest.mark.parametrize("two_stage,max_evals,minimum", [(False, 5, 6), (True, 7, 8)])
     def test_budget_below_one_jacobian_per_stage_rejected(self, two_stage, max_evals, minimum):

@@ -250,6 +250,8 @@ class TestCommands:
         assert [s["moments_used"] for s in sweep] == [2, 3, 4, 5, 6]
         assert report["payload"]["price"] == sweep[-1]["price"]
         # each row shows how its fit was made
+        # the N = 2 fit starts cold, each later one from the fit before it
+        assert [s["newton_start"] for s in sweep] == ["gaussian"] + ["prefix"] * 4
         for row in sweep:
             assert 0 < row["newton_iterations"] <= 200
             assert 0 <= row["residual"] <= 1e-10
@@ -258,8 +260,8 @@ class TestCommands:
             assert row["cut_log_pdf_ratio"] < 0
         with open(os.path.join(out, "moment_sweep.csv")) as fh:
             header = fh.readline().strip().split(",")
-        assert header == ["n_moments", "moments_used", "newton_iterations", "residual",
-                          "nodes", "top_coefficient", "cut_log_pdf_ratio", "price"]
+        assert header == ["n_moments", "moments_used", "newton_iterations", "newton_start",
+                          "residual", "nodes", "top_coefficient", "cut_log_pdf_ratio", "price"]
 
     def test_calibrate_out_writes_the_table(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"
@@ -285,13 +287,15 @@ class TestCommands:
                      "--two-stage"])
         assert code == 0
         payload = report["payload"]
-        fields = ("moments_used", "newton_iterations", "residual", "nodes", "top_coefficient",
-                  "cut_log_pdf_ratio")
+        fields = ("moments_used", "newton_iterations", "newton_start", "residual", "nodes",
+                  "top_coefficient", "cut_log_pdf_ratio")
         for row in payload["instruments"]:
             if row["kind"] == "futures":
-                assert [row[k] for k in fields] == [None] * 6
+                assert [row[k] for k in fields] == [None] * 7
             else:
                 assert row["moments_used"] == 6
+                # the fitted point is priced cold, from the fit of five moments
+                assert row["newton_start"] == "prefix"
                 assert 0 < row["newton_iterations"] <= 200
                 assert 0 <= row["residual"] <= 1e-10
                 assert row["nodes"] >= 800
@@ -533,6 +537,18 @@ class TestRejectedInputs:
                 (tmp_path / "market.json").write_text(case["meta"])
         err = run_rejected(capsys, argv)
         assert fragment in err["message"]
+
+    @pytest.mark.parametrize("command,flags", [
+        (["calibrate"], []),
+        (["price", "futures"], ["--spot", "nan", "--valuation-date", "junk"]),
+        (["price", "futures"], ["--spot", "100"]),
+        (["price", "futures"], ["--valuation-date", "2015-12-21"]),
+    ], ids=["calibrate", "futures_spot_and_date", "futures_spot", "futures_date"])
+    def test_no_market_file_exits_three(self, config_path, capsys, command, flags):
+        err = run_rejected(capsys, [*command, "--config", config_path, *flags])
+        assert err["type"] == "ConfigError" and err["message"] == (
+            "calibrate needs a --market CSV" if command == ["calibrate"] else
+            "--spot and --valuation-date apply to a --market file only")
 
     @pytest.mark.parametrize("command", [["validate"], ["simulate", "--paths", "10"]])
     @pytest.mark.parametrize("overrides", [

@@ -464,10 +464,10 @@ class TestRepeatedPrices:
             builds.append(args)
             return build(*args, **kwargs)
 
-        def counted_fit(m):
+        def counted_fit(m, **kwargs):
             fits.append(np.asarray(m).tobytes())
             try:
-                return fit(m)
+                return fit(m, **kwargs)
             except ConvergenceError:
                 failed.append(fits[-1])
                 raise
@@ -481,6 +481,47 @@ class TestRepeatedPrices:
         assert len(builds) == 5
         assert len(fits) == len(set(fits)) == 5
         assert len(failed) == (2 if underlying == "stock" else 0)
+
+    @pytest.mark.parametrize("underlying", ["stock", "dividend"])
+    def test_a_count_fits_the_same_alone_and_in_a_sweep(self, underlying):
+        # the N fit starts from the cold fit of its N - 1 prefix, which is the
+        # same density whether the memo holds it or makes it now
+        p, st = reference_params(0.2), reference_state()
+        spec = _strike_grid(p, TWO_POINT_JUMP, st, underlying, 2.0)[1]
+        _clear_memo()
+        alone = price_option(p, TWO_POINT_JUMP, st, spec, 6)
+        orders = {}
+        for name, counts in (("ascending", range(2, 7)), ("descending", range(6, 1, -1))):
+            _clear_memo()
+            orders[name] = {n: price_option(p, TWO_POINT_JUMP, st, spec, n) for n in counts}
+        for sweep in orders.values():
+            price, density = sweep[6]
+            assert price == alone[0]
+            np.testing.assert_array_equal(density.lambdas, alone[1].lambdas)
+            assert [sweep[n][1].newton_start for n in range(3, 7)] == ["prefix"] * 4
+        for n in range(2, 7):
+            (up, up_fit), (down, down_fit) = orders["ascending"][n], orders["descending"][n]
+            assert up == down
+            np.testing.assert_array_equal(up_fit.lambdas, down_fit.lambdas)
+
+    def test_a_failed_prefix_leaves_the_cold_starts(self, monkeypatch):
+        p, st = reference_params(0.2), reference_state()
+        spec = OptionSpec("call", "stock", 1.0, 1.0, p.r)
+        raw = maxent._option_inputs(p, None, st, spec, 3)[0]
+        fit, prefixes = maxent.fit_maxent, []
+
+        def two_moments_fail(m, **kwargs):
+            prefixes.append(kwargs.get("_prefix"))
+            if len(m) == 3:
+                raise ConvergenceError("no fit")
+            return fit(m, **kwargs)
+
+        monkeypatch.setattr(maxent, "fit_maxent", two_moments_fail)
+        density = price_option(p, None, st, spec, 3)[1]
+        assert prefixes == [None, None]
+        cold = fit(np.concatenate(([1.0], raw)))
+        np.testing.assert_array_equal(density.lambdas, cold.lambdas)
+        assert density.newton_start == cold.newton_start == "gaussian"
 
     def test_a_repeated_surface_makes_the_same_calls(self, monkeypatch):
         # a benchmark that runs one surface several times requires identical
@@ -522,7 +563,7 @@ class TestRepeatedPrices:
     def test_non_convergence_is_remembered_and_raised_again(self, monkeypatch):
         calls = []
 
-        def never_converges(m):
+        def never_converges(m, **kwargs):
             calls.append(np.asarray(m).tobytes())
             raise ConvergenceError("no fit")
 
@@ -574,6 +615,7 @@ class TestStartedFit:
         assert np.max(np.abs(m[1:] / start.moments[1:] - 1.0)) < 1e-4
         started, cold = fit_maxent(m, start=start), fit_maxent(m)
         assert started.iterations <= 10 < cold.iterations
+        assert (started.newton_start, cold.newton_start) == ("given", "gaussian")
         assert started.residual <= maxent._VERIFY_TOL
         for k in range(7):
             got = integrate_payoff(started, lambda x, k=k: x ** k, points=(m[1],))
@@ -596,6 +638,7 @@ class TestStartedFit:
         cold = fit_maxent(m)
         np.testing.assert_array_equal(started.lambdas, cold.lambdas)
         assert started.iterations == cold.iterations
+        assert started.newton_start == cold.newton_start == "gaussian"
 
     @pytest.mark.parametrize("start", ["gamma", "count"])
     def test_malformed_start_rejected(self, start):
@@ -626,22 +669,23 @@ class TestStartedFit:
         calls = []
         fit = maxent.fit_maxent
 
-        def recorded(m, start=None):
+        def recorded(m, start=None, **kwargs):
             calls.append(start)
-            return fit(m, start=start)
+            return fit(m, start=start, **kwargs)
 
         monkeypatch.setattr(maxent, "fit_maxent", recorded)
+        # a cold N = 6 fit starts from the cold fits of N = 2..5, each made once
         cold_price, cold = price_option(p, None, st, spec, 6)
         # a started fit neither reads nor fills the memo
         price, density = price_option(p, None, st, spec, 6, start=near)
-        assert calls == [None, near] and density is not cold
-        assert maxent._cold_fit.cache_info().currsize == 1
+        assert calls == [None] * 5 + [near] and density is not cold
+        assert maxent._cold_fit.cache_info().currsize == 5
         assert maxent._cold_fit(cold.moments.tobytes()) is cold
         assert abs(price - cold_price) <= 1e-9
         # a start with another count leaves the fit cold, through the memo
         fewer = fit_maxent(np.concatenate(([1.0], raw[:5])))
         assert price_option(p, None, st, spec, 6, start=fewer) == (cold_price, cold)
-        assert calls == [None, near]
+        assert calls == [None] * 5 + [near]
 
 
 class TestPriceOption:
@@ -663,7 +707,10 @@ class TestPriceOption:
         price, density = price_option(p, None, st, spec, 6)
         raw, strike, discount = maxent._option_inputs(p, None, st, spec, 6)
         assert strike == spec.strike - (st.c if window == (-0.5, 1.0) else 0.0)
-        cold = fit_maxent(np.concatenate(([1.0], raw)))
+        # the cold fit of N moments starts from the cold fit of its N - 1 prefix
+        cold = None
+        for n in range(2, 7):
+            cold = fit_maxent(np.concatenate(([1.0], raw[:n])), _prefix=cold)
         np.testing.assert_array_equal(density.lambdas, cold.lambdas)
         assert price == discount * integrate_payoff(cold, option_payoff(kind, strike),
                                                     points=(strike,))
