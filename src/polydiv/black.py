@@ -11,8 +11,17 @@ from .errors import DomainError, InvalidParameterError
 VOL_CAP = 16.0     # implied_vol gives up above this volatility
 
 
+def _require_finite(forward, strike, expiry, vol, rate):
+    # one sum, cheap enough for every call of a root search: a NaN or an
+    # infinity in any input makes it non-finite
+    if not math.isfinite(forward + strike + expiry + vol + rate):
+        raise InvalidParameterError(f"need finite inputs, got forward {forward}, strike "
+                                    f"{strike}, expiry {expiry}, vol {vol}, rate {rate}")
+
+
 def black76_price(forward, strike, expiry, vol, rate, kind="call"):
     """Lognormal option price on a futures/forward level."""
+    _require_finite(forward, strike, expiry, vol, rate)
     if forward <= 0 or strike <= 0:
         raise InvalidParameterError("forward and strike must be positive")
     discount = math.exp(-rate * expiry)
@@ -39,6 +48,7 @@ class Black76Derivatives(NamedTuple):
 
 def black76_derivatives(forward, strike, expiry, vol, rate, kind="call"):
     """:class:`Black76Derivatives` of ``black76_price``; needs vol, expiry > 0."""
+    _require_finite(forward, strike, expiry, vol, rate)
     if not (forward > 0 and strike > 0 and vol > 0 and expiry > 0):
         raise InvalidParameterError("need positive forward, strike, vol and expiry")
     discount = math.exp(-rate * expiry)
@@ -72,6 +82,10 @@ def implied_vol(price, level, strike, expiry, rate, convention="black-scholes",
     (convention "black76").  Prices at or below intrinsic return 0;
     prices outside the no-arbitrage band raise :class:`DomainError`.
     """
+    if not math.isfinite(price + level + strike + expiry + rate + dividend_yield):
+        raise InvalidParameterError(
+            f"need finite inputs, got price {price}, level {level}, strike {strike}, "
+            f"expiry {expiry}, rate {rate}, dividend yield {dividend_yield}")
     if convention == "black-scholes":
         forward = level * math.exp((rate - dividend_yield) * expiry)
     elif convention == "black76":

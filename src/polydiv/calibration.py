@@ -232,8 +232,9 @@ def pricing_errors(params, d0, market, n_moments, start=None):
     index points; each vol is the Black-76 vol of its ATM call on the
     model forward of its underlying.  ``start``, a dict
     {"stock" or "dividend": density}, seeds each option's maxent fit with
-    the last density fitted on that underlying and is updated after every
-    option priced; without it the fits are cold.
+    the last density fitted on that underlying (by ``price_option``'s rule:
+    every count tried that is at least the density's) and is updated after
+    every option priced; without it the fits are cold.
     """
     state = State(c=0.0, x=1.0, y=[d0])
     forwards = _forwards(params, state, market)

@@ -19,20 +19,21 @@ generator never mixes degrees, a larger moment count extends a line's
 vector by degree and a smaller one reads its prefix, and the record's
 lines share each exponential.  Cold fits go through ``_cold_fit``, an LRU
 cache keyed by the exact bytes of a moment vector, which holds a failed
-fit too.  From three moments on, ``_cold_fit`` first fits the vector's
-prefix of one moment fewer, through itself, and starts Newton from that
-density with a zero top multiplier (then from the cold starts): the domain
-cut, the standardized coordinate and the panels depend on M_1 and M_2
-alone, so that start is the prefix density exactly.  It is a pure function
-of the moment bytes, so a moment sweep pays for each count once, and a
-price is bit-identical to the memo-free chain of cold fits, whatever the
-memo holds and in whatever order the counts are priced.
+fit too.
 
-A fit may also start from an earlier density with the same moment count
-(``fit_maxent(m, start=...)``): calibration prices each trial point next
-to one it just priced, and Newton from that neighbour's coefficients
-takes a few steps instead of dozens.  Such a fit depends on its start, so
-it skips the cache; cold prices stay bit-identical.
+A fit may start from an earlier density fitted to at most as many moments
+(``fit_maxent(m, start=...)``): Newton tries its standardized coefficients,
+padded with zeros, before the cold starts.  From three moments on,
+``_cold_fit`` starts from the cold fit of the vector's prefix of one moment
+fewer, fetched through itself: the domain cut, the standardized coordinate
+and the panels depend on M_1 and M_2 alone, so that start is the prefix
+density exactly.  It is a pure function of the moment bytes, so a moment
+sweep pays for each count once, and a price is bit-identical to the
+memo-free chain of cold fits, whatever the memo holds and in whatever order
+the counts are priced.  Calibration prices each trial point next to one it
+just priced, and Newton from that neighbour's coefficients takes a few
+steps instead of dozens; a fit from such a start depends on it, so it skips
+the cache.
 """
 
 import math
@@ -71,8 +72,8 @@ class MaxEntDensity:
     narrower than their domain, ``support_lo`` marks a lower cut below
     which the fitted mass is zero to double precision.  ``newton_start``
     names the start Newton converged from: ``"given"`` (a ``start``
-    density), ``"prefix"`` (the fit of one moment fewer), ``"gaussian"`` or
-    ``"exponential"``.
+    density of the same moment count), ``"prefix"`` (one of fewer moments),
+    ``"gaussian"`` or ``"exponential"``.
 
     The exponent polynomial is evaluated through its mean-centered,
     std-scaled representation (``gamma``, ``z_center``, ``z_scale``,
@@ -293,7 +294,7 @@ def _dual_newton(mu, nodes, weights, gamma0, m0, s0):
 
 
 @single_thread
-def fit_maxent(moments, start=None, *, _prefix=None):
+def fit_maxent(moments, start=None):
     """Fit the maximum-entropy density matching raw moments M_0..M_N.
 
     Parameters
@@ -301,21 +302,19 @@ def fit_maxent(moments, start=None, *, _prefix=None):
     moments : sequence
         Raw moments, M_0 = 1 first.  At least (M_0, M_1).
     start : MaxEntDensity, optional
-        An earlier fit with the same moment count, typically of nearby
-        moments.  Newton tries its standardized coefficients first and the
-        cold starts after them; the acceptance check is the same.
+        An earlier fit to at most as many moments: of nearby moments, or of
+        a prefix of these.  Newton tries its standardized coefficients
+        first, padded with zeros, and the cold starts after them; the
+        acceptance check is the same.
 
     Raises
     ------
     InvalidParameterError
-        If ``start`` is not a density fitted to as many moments.
+        If ``start`` is not a density fitted to at most as many moments.
     InfeasibleMomentsError
         If the sequence fails the leading Hankel checks.
     ConvergenceError
         If the dual Newton iteration cannot reach the target residual.
-
-    ``_prefix``, private to ``_cold_fit``, is the density fitted to M_0..M_(N-1):
-    Newton tries it first, with gamma_N = 0 appended.
     """
     m = np.asarray(moments, dtype=float)
     if m.ndim != 1 or m.size < 2:
@@ -324,9 +323,9 @@ def fit_maxent(moments, start=None, *, _prefix=None):
         raise InvalidParameterError("non-finite moment input")
     _check_feasible(m)
     if start is not None and not (
-            isinstance(start, MaxEntDensity) and start.moments.size == m.size):
+            isinstance(start, MaxEntDensity) and start.moments.size <= m.size):
         raise InvalidParameterError(
-            f"start must be a MaxEntDensity fitted to {m.size - 1} moments")
+            f"start must be a MaxEntDensity fitted to at most {m.size - 1} moments")
 
     n = m.size - 1
     std = math.sqrt(m[2] - m[1] ** 2) if n >= 2 else m[1]
@@ -340,13 +339,9 @@ def fit_maxent(moments, start=None, *, _prefix=None):
     lo = lo if lo > 0.05 else 0.0
 
     rejected = None      # (error, nodes) of the last fit the refined rule rejected
-    if start is not None:
-        warm = [("given", start.gamma)]
-    elif _prefix is not None:
-        # the same cut, coordinate and panels (all from M_1, M_2): the prefix density exactly
-        warm = [("prefix", np.append(_prefix.gamma, 0.0))]
-    else:
-        warm = []
+    warm = [] if start is None else [
+        ("given" if start.gamma.size == n else "prefix",
+         np.concatenate((start.gamma, np.zeros(n - start.gamma.size))))]
     # the exponent polynomial's standardized coordinate z = (u - m0)/s0
     var = mu[1] - mu[0] ** 2 if n >= 2 else 0.0
     m0, s0 = (mu[0], math.sqrt(var)) if var > 0 else (0.0, 1.0)
@@ -488,7 +483,7 @@ def _cold_fit(key):
     m = np.frombuffer(key)
     prefix = _cold_fit(m[:-1].tobytes()) if m.size > 3 else None
     try:
-        return fit_maxent(m, _prefix=prefix if isinstance(prefix, MaxEntDensity) else None)
+        return fit_maxent(m, start=prefix if isinstance(prefix, MaxEntDensity) else None)
     except ConvergenceError as exc:
         return exc
 
@@ -598,9 +593,10 @@ def price_option(params, jump, state, spec, n_moments, start=None):
     the point mass directly and return ``None`` for it.  If the full moment
     count is numerically unfittable (densities extremely concentrated
     relative to their mean), the fit falls back to fewer moments, never
-    below two.  ``start`` (a density or ``None``) seeds the fit of its own
-    moment count, outside the cache; other counts fit cold, each through
-    the cold fits of its prefixes (see ``_cold_fit``).
+    below two.  ``start`` (a density or ``None``) seeds, outside the cache,
+    every count tried that is at least its own (see :func:`fit_maxent`);
+    smaller counts fit cold, each through the cold fits of its prefixes
+    (see ``_cold_fit``).
     """
     raw_moments, strike, discount = _option_inputs(params, jump, state, spec, n_moments)
     payoff = option_payoff(spec.kind, strike)
@@ -610,7 +606,7 @@ def price_option(params, jump, state, spec, n_moments, start=None):
     for count in range(len(raw_moments), 1, -1):
         m = np.concatenate(([1.0], raw_moments[:count]))
         try:
-            if start is not None and start.moments.size == m.size:
+            if start is not None and start.moments.size <= m.size:
                 density = fit_maxent(m, start=start)
             else:
                 density = _cold_fit(m.tobytes())

@@ -11,6 +11,7 @@ and part of the reproducibility contract.
 
 import math
 import mmap
+import numbers
 import os
 import warnings
 from dataclasses import dataclass
@@ -38,10 +39,12 @@ class SimConfig:
     windows: tuple = ()                     # (T0, T1) pairs for window accruals
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise InvalidParameterError(f"need n_paths >= 1, got {self.n_paths}")
-        if self.steps_per_year < 1:
-            raise InvalidParameterError(f"need steps_per_year >= 1, got {self.steps_per_year}")
+        for name, least in (("n_paths", 1), ("steps_per_year", 1), ("seed", 0)):
+            value = getattr(self, name)
+            # a bool is an Integral too, but no count or seed
+            if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+                    and value >= least):
+                raise InvalidParameterError(f"need an integer {name} >= {least}, got {value!r}")
         if not 0 < self.horizon < math.inf:
             raise InvalidParameterError(f"need a finite horizon > 0, got {self.horizon}")
         if self.store_policy not in ("terminal", "full"):

@@ -138,7 +138,7 @@ class JumpSpec:
 
 def jump_moment(jump, m):
     """Raw moment E[z^m] over the points of the jump-size law (m >= 0, m_0 = 1)."""
-    if m < 0 or int(m) != m:
+    if not (m >= 0 and float(m).is_integer()):
         raise InvalidParameterError(f"moment order must be a non-negative integer, got {m}")
     if jump is None or jump.dist is None:
         raise InvalidParameterError("no jump distribution specified")

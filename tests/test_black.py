@@ -151,6 +151,51 @@ class TestDerivatives:
             black76_derivatives(1.0, 1.0, 1.0, 0.0, 0.01)
 
 
+_BLACK_ARGS = dict(forward=1.0, strike=1.0, expiry=1.0, vol=0.2, rate=0.01)
+_IV_ARGS = dict(price=0.08, level=1.0, strike=1.0, expiry=1.0, rate=0.01)
+
+
+class TestRejectedInputs:
+    """Malformed input raises InvalidParameterError instead of a NaN, an
+    infinity or a solver's own error."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", sorted(_BLACK_ARGS))
+    @pytest.mark.parametrize("fn", [black76_price, black76_derivatives],
+                             ids=["price", "derivatives"])
+    def test_non_finite_black76_input(self, fn, name, value):
+        with pytest.raises(InvalidParameterError, match="need finite inputs"):
+            fn(**{**_BLACK_ARGS, name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", sorted(_IV_ARGS) + ["dividend_yield"])
+    def test_non_finite_implied_vol_input(self, name, value):
+        assert implied_vol(**_IV_ARGS) > 0
+        with pytest.raises(InvalidParameterError, match="need finite inputs"):
+            implied_vol(**{**_IV_ARGS, name: value})
+
+    @pytest.mark.parametrize("name", ["forward", "strike"])
+    @pytest.mark.parametrize("fn", [black76_price, black76_derivatives],
+                             ids=["price", "derivatives"])
+    def test_non_positive_forward_or_strike(self, fn, name):
+        with pytest.raises(InvalidParameterError, match="positive"):
+            fn(**{**_BLACK_ARGS, name: 0.0})
+
+    def test_non_positive_spot_strike(self):
+        with pytest.raises(InvalidParameterError, match="spot and strike must be positive"):
+            black_scholes_price(100, 0.0, 1, 0.2, 0.0)
+
+    def test_unknown_kind(self):
+        with pytest.raises(InvalidParameterError, match="unknown option kind 'straddle'"):
+            black76_derivatives(**_BLACK_ARGS, kind="straddle")
+        with pytest.raises(InvalidParameterError, match="unknown option kind 'straddle'"):
+            implied_vol(**_IV_ARGS, kind="straddle")
+
+    def test_unknown_convention(self):
+        with pytest.raises(InvalidParameterError, match="unknown convention 'bachelier'"):
+            implied_vol(**_IV_ARGS, convention="bachelier")
+
+
 def _loaded_by_cli_import(*modules):
     """The given modules that a fresh ``import polydiv.cli`` puts in sys.modules."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(polydiv.__file__)))

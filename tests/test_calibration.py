@@ -70,6 +70,22 @@ class TestMarketData:
         with pytest.raises(MarketDataError):
             StockIvQuote(iv=2.5, expiry=0.25)
 
+    @pytest.mark.parametrize("expiry", [0.0, -0.25, math.nan])
+    def test_stock_iv_expiry_must_be_positive(self, expiry):
+        with pytest.raises(MarketDataError, match="expiry must be positive"):
+            StockIvQuote(iv=0.2, expiry=expiry)
+
+    @pytest.mark.parametrize("iv", [0.0, 2.0, math.nan])
+    def test_dividend_iv_bounds(self, iv):
+        with pytest.raises(MarketDataError, match=r"implied vol must be in \(0, 2\)"):
+            DividendIvQuote(iv=iv, futures_id="DF1")
+
+    def test_futures_by_an_unknown_id(self):
+        market = MarketData("d", SPOT, [FuturesQuote("DF1", 0.0, 1.0, 100.0)])
+        assert market.futures_by_id("DF1") is market.futures[0]
+        with pytest.raises(MarketDataError, match="unknown futures id 'DF9'"):
+            market.futures_by_id("DF9")
+
     def test_unknown_dividend_underlying(self):
         q = FuturesQuote("DF1", 0.0, 1.0, 100.0)
         with pytest.raises(MarketDataError):
@@ -494,7 +510,7 @@ class TestCalibrate:
 
         def recorded(m, start=None, **kwargs):
             density = fit(m, start=start, **kwargs)
-            fits.append((len(m) - 1, start is not None, density.iterations))
+            fits.append((len(m) - 1, density.newton_start == "given", density.iterations))
             return density
 
         maxent._cold_fit.cache_clear()
@@ -514,6 +530,26 @@ class TestCalibrate:
         with pytest.raises(InvalidParameterError, match=f"at least {minimum}"):
             CalibConfig(two_stage=two_stage, max_evals=max_evals)
         CalibConfig(two_stage=two_stage, max_evals=minimum)
+
+    @pytest.mark.parametrize("a", [0.0, -0.2, math.nan])
+    def test_non_positive_cap_rejected(self, a):
+        with pytest.raises(InvalidParameterError, match="need a > 0"):
+            CalibConfig(a=a)
+
+    def test_fewer_than_two_moments_rejected(self):
+        with pytest.raises(InvalidParameterError, match="need n_moments >= 2, got 1"):
+            CalibConfig(n_moments=1)
+
+    def test_jacobian_away_from_the_last_priced_point_rejected(self, monkeypatch):
+        # the exact Jacobian is made from the last residual call's fits: asked
+        # anywhere else it would describe another point
+        def jacobian_elsewhere(fun, x0, jac, **kwargs):
+            fun(x0)
+            jac(x0 * 1.01)
+
+        monkeypatch.setattr(scipy.optimize, "least_squares", jacobian_elsewhere)
+        with pytest.raises(CalibrationError, match="a Jacobian needs the fits of a priced point"):
+            calibrate(synthetic_market(include_ivs=False, n_futures=2), CalibConfig(max_evals=200))
 
     @pytest.mark.parametrize("weight", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
     def test_non_finite_or_negative_iv_weight_rejected(self, weight):

@@ -263,6 +263,18 @@ class TestCommands:
         assert header == ["n_moments", "moments_used", "newton_iterations", "newton_start",
                           "residual", "nodes", "top_coefficient", "cut_log_pdf_ratio", "price"]
 
+    def test_point_mass_sweep_leaves_the_fit_cells_empty(self, config_path, tmp_path, capsys):
+        # a zero-length window pays on no dividends: a point mass at 0, no fit
+        out = str(tmp_path / "out")
+        code, report = run_json(
+            capsys, ["price", "option", "--config", config_path, "--underlying", "dividend",
+                     "--window", "1", "1", "--strike", "0.01", "--out", out])
+        assert code == 0
+        assert [s["newton_start"] for s in report["payload"]["moment_sweep"]] == [None] * 5
+        with open(os.path.join(out, "moment_sweep.csv")) as fh:
+            rows = [line.rstrip("\n").split(",") for line in fh][1:]
+        assert rows == [[str(n), str(n), "", "", "", "", "", "", "0"] for n in range(2, 7)]
+
     def test_calibrate_out_writes_the_table(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"
         market = tmp_path / "market.csv"
@@ -384,6 +396,20 @@ class TestCommands:
         assert (code, captured.out) == (2, "")
         err = json.loads(captured.err)["error"]
         assert err["type"] == "InvalidParameterError" and "finite" in err["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--horizon", "1", "--paths", "10", "--seed", "-1"],
+        ["price", "option", "--mc", "--paths", "10", "--seed", "-1"],
+        ["simulate", "--horizon", "1", "--paths", "0"],
+        ["simulate", "--horizon", "1", "--paths", "10", "--steps-per-year", "0"],
+    ], ids=["simulate_seed", "price_option_mc_seed", "zero_paths", "zero_steps"])
+    def test_negative_seed_or_empty_count_exits_two(self, config_path, capsys, argv):
+        command = argv[:2] if argv[0] == "price" else argv[:1]
+        code = run([*command, "--config", config_path, *argv[len(command):]])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "InvalidParameterError" and "need an integer" in err["message"]
 
     def test_non_integer_factor_count_exits_three(self, tmp_path, capsys):
         code = run(["validate", "--config", write_config(tmp_path, d=1.5)])

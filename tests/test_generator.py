@@ -46,6 +46,10 @@ class TestBasis:
         with pytest.raises(InvalidParameterError):
             build_basis(1, 0)
 
+    def test_no_factor_rejected(self):
+        with pytest.raises(InvalidParameterError, match="need d >= 1, got 0"):
+            build_basis(0, 2)
+
     def test_eval(self):
         b = build_basis(1, 1)
         np.testing.assert_allclose(b.eval(0.0, 1.0, [0.0371]), [1, 0, 1, 0.0371])
@@ -155,6 +159,13 @@ class TestPointwiseOracle:
         coeffs[basis.position(1, 0, (0,))] = 1.0
         st = State(0.4, 1.3, [0.02])
         assert apply_generator_pointwise(params_a02, None, basis, coeffs, st) == pytest.approx(0.02)
+
+    @pytest.mark.parametrize("size", [5, 7])
+    def test_coefficient_vector_of_the_wrong_length_rejected(self, params_a02, size):
+        basis = build_basis(1, 1)       # (1, c, x, y): 4 members
+        with pytest.raises(InvalidParameterError, match=f"length 4, got \\({size},\\)"):
+            apply_generator_pointwise(params_a02, None, basis, np.zeros(size),
+                                      State(0.4, 1.3, [0.02]))
 
     def test_generator_of_x_is_drift(self, params_a02):
         basis = build_basis(1, 2)

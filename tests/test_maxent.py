@@ -66,6 +66,17 @@ class TestFit:
         with pytest.raises(InvalidParameterError):
             fit_maxent([2.0, 1.0, 1.5])
 
+    @pytest.mark.parametrize("moments,error,message", [
+        ([1.0], InvalidParameterError, r"need at least \(M_0, M_1\)"),
+        ([[1.0, 2.0]], InvalidParameterError, r"need at least \(M_0, M_1\)"),
+        ([1.0, math.nan, 2.0], InvalidParameterError, "non-finite moment input"),
+        ([1.0, 1.0, math.inf], InvalidParameterError, "non-finite moment input"),
+        ([1.0, 1.0, 2.0, 1.5], InfeasibleMomentsError, r"M_1\*M_3 - M_2\^2 <= 0"),
+    ], ids=["one_moment", "two_dimensional", "nan_moment", "inf_moment", "hankel_three"])
+    def test_malformed_moments_rejected(self, moments, error, message):
+        with pytest.raises(error, match=message):
+            fit_maxent(moments)
+
     def test_moment_reproduction_through_quadrature(self):
         # lognormal moments, mean 0.04, 5% coefficient of variation
         sig2 = math.log(1.0 + 0.05 ** 2)
@@ -140,6 +151,19 @@ class TestOptionSpec:
             OptionSpec("call", "dividend", strike=1.0, expiry=1.0, rate=0.0)
         with pytest.raises(InvalidParameterError):
             OptionSpec("swap", "stock", strike=1.0, expiry=1.0, rate=0.0)
+
+    def test_unknown_underlying_rejected(self):
+        with pytest.raises(InvalidParameterError, match="unknown underlying 'bond'"):
+            OptionSpec("call", "bond", strike=1.0, expiry=1.0, rate=0.0)
+
+    def test_pricer_of_the_other_underlying_rejected(self):
+        p, st = reference_params(0.2), reference_state()
+        stock = OptionSpec("call", "stock", 1.0, 1.0, p.r)
+        dividend = OptionSpec("call", "dividend", 0.03, 1.0, p.r, (0.0, 1.0))
+        with pytest.raises(InvalidParameterError, match="spec.underlying must be 'stock'"):
+            price_stock_option(p, None, st, dividend, 2)
+        with pytest.raises(InvalidParameterError, match="spec.underlying must be 'dividend'"):
+            price_dividend_option(p, None, st, stock, 2)
 
     @pytest.mark.parametrize("field,kwargs", [
         ("strike", dict(strike=math.inf)),
@@ -511,7 +535,7 @@ class TestRepeatedPrices:
         fit, prefixes = maxent.fit_maxent, []
 
         def two_moments_fail(m, **kwargs):
-            prefixes.append(kwargs.get("_prefix"))
+            prefixes.append(kwargs.get("start"))
             if len(m) == 3:
                 raise ConvergenceError("no fit")
             return fit(m, **kwargs)
@@ -587,7 +611,7 @@ def _atm_call(density):
 
 
 class TestStartedFit:
-    """A fit may start from an earlier density with the same moment count."""
+    """A fit may start from an earlier density with at most as many moments."""
 
     @pytest.fixture(autouse=True)
     def cold_memo(self):
@@ -642,11 +666,12 @@ class TestStartedFit:
 
     @pytest.mark.parametrize("start", ["gamma", "count"])
     def test_malformed_start_rejected(self, start):
+        # a start may have fewer moments than the fit, never more
         m = _lognormal_moments(0.1)
-        fit = fit_maxent(m[:6])
+        fit = fit_maxent(m)
         bad = fit.gamma if start == "gamma" else fit
         with pytest.raises(InvalidParameterError, match="start must be"):
-            fit_maxent(m, start=bad)
+            fit_maxent(m if start == "gamma" else m[:6], start=bad)
 
     def test_cold_fit_is_unchanged(self):
         # recorded with power tables made by repeated multiplication (numpy
@@ -661,7 +686,7 @@ class TestStartedFit:
         assert d.iterations == 79
         assert d.residual.hex() == "0x1.6e391247b7f15p-47"
 
-    def test_price_passes_a_start_of_its_own_count_only(self, monkeypatch):
+    def test_price_passes_a_start_of_at_most_its_count(self, monkeypatch):
         p, st = reference_params(0.2), reference_state()
         spec = OptionSpec("call", "stock", 1.0, 0.25, p.r)
         raw = maxent._option_inputs(p, None, st, spec, 6)[0]
@@ -669,23 +694,29 @@ class TestStartedFit:
         calls = []
         fit = maxent.fit_maxent
 
-        def recorded(m, start=None, **kwargs):
+        def recorded(m, start=None):
             calls.append(start)
-            return fit(m, start=start, **kwargs)
+            return fit(m, start=start)
 
         monkeypatch.setattr(maxent, "fit_maxent", recorded)
         # a cold N = 6 fit starts from the cold fits of N = 2..5, each made once
         cold_price, cold = price_option(p, None, st, spec, 6)
+        assert [None if s is None else s.moments.size for s in calls] == [None, 3, 4, 5, 6]
         # a started fit neither reads nor fills the memo
         price, density = price_option(p, None, st, spec, 6, start=near)
-        assert calls == [None] * 5 + [near] and density is not cold
+        assert calls[5:] == [near] and density is not cold
+        assert density.newton_start == "given"
         assert maxent._cold_fit.cache_info().currsize == 5
         assert maxent._cold_fit(cold.moments.tobytes()) is cold
         assert abs(price - cold_price) <= 1e-9
-        # a start with another count leaves the fit cold, through the memo
+        # a start with fewer moments seeds the N = 6 fit too, outside the memo
         fewer = fit_maxent(np.concatenate(([1.0], raw[:5])))
-        assert price_option(p, None, st, spec, 6, start=fewer) == (cold_price, cold)
-        assert calls == [None] * 5 + [near]
+        price, density = price_option(p, None, st, spec, 6, start=fewer)
+        assert calls[6:] == [fewer] and density is not cold
+        assert density.newton_start == "prefix"
+        assert maxent._cold_fit.cache_info().currsize == 5
+        assert maxent._cold_fit(cold.moments.tobytes()) is cold
+        assert abs(price - cold_price) <= 1e-9
 
 
 class TestPriceOption:
@@ -710,7 +741,7 @@ class TestPriceOption:
         # the cold fit of N moments starts from the cold fit of its N - 1 prefix
         cold = None
         for n in range(2, 7):
-            cold = fit_maxent(np.concatenate(([1.0], raw[:n])), _prefix=cold)
+            cold = fit_maxent(np.concatenate(([1.0], raw[:n])), start=cold)
         np.testing.assert_array_equal(density.lambdas, cold.lambdas)
         assert price == discount * integrate_payoff(cold, option_payoff(kind, strike),
                                                     points=(strike,))

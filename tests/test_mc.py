@@ -31,6 +31,20 @@ class TestSimConfig:
         with pytest.raises(InvalidParameterError):
             SimConfig(n_paths=10, horizon=1.0, store_policy="everything")
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_paths", math.nan), ("n_paths", 2.5), ("n_paths", 10.0), ("n_paths", True),
+        ("steps_per_year", math.nan), ("steps_per_year", 0), ("steps_per_year", 52.0),
+        ("steps_per_year", True), ("seed", -1), ("seed", 1.5), ("seed", False),
+    ])
+    def test_counts_and_seed_must_be_integers(self, field, value):
+        with pytest.raises(InvalidParameterError, match=f"need an integer {field} >= "):
+            SimConfig(**{"n_paths": 10, "horizon": 1.0, field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = SimConfig(n_paths=np.int64(10), horizon=1.0, steps_per_year=np.int32(52),
+                        seed=np.uint64(2 ** 64 - 1))
+        assert (cfg.n_paths, cfg.steps_per_year, cfg.seed) == (10, 52, 2 ** 64 - 1)
+
     @pytest.mark.parametrize("window", [(0.0, 2.0), (0.8, 0.2), (-0.5, 1.5)])
     def test_window_outside_the_horizon_rejected(self, window):
         with pytest.raises(InvalidParameterError, match="t0 <= t1 <= horizon"):
@@ -286,6 +300,18 @@ class TestMcPrice:
         est = mc_price(bundle, lambda x: np.full_like(x, 3.0), 0.9)
         assert est.value == pytest.approx(2.7)
         assert est.std_error == 0.0
+
+    def test_payoff_of_the_wrong_shape_rejected(self, params_a02, state0):
+        bundle = simulate_paths(params_a02, None, state0,
+                                SimConfig(n_paths=10, horizon=0.5, seed=1))
+        with pytest.raises(InvalidParameterError, match="one value per path"):
+            mc_price(bundle, lambda x: x.sum(), 1.0)
+
+    def test_unknown_control_rejected(self, params_a02, state0):
+        bundle = simulate_paths(params_a02, None, state0,
+                                SimConfig(n_paths=10, horizon=0.5, seed=1))
+        with pytest.raises(InvalidParameterError, match="unknown control 'antithetic'"):
+            mc_price(bundle, lambda x: x, 1.0, control="antithetic")
 
     def test_control_absorbs_linear_payoff(self, params_a02, state0):
         bundle = simulate_paths(params_a02, None, state0,

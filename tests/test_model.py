@@ -57,6 +57,15 @@ class TestAdmissibility:
         with pytest.raises(InvalidParameterError):
             ModelParams(r=0.01, a=0.2, sigma=0.3, d=2, b=[0.01], beta=[[-0.3]], nu=[0.02])
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("beta", [[-0.3, 0.0]], r"beta must have shape \(1, 1\), got \(1, 2\)"),
+        ("nu", [0.02, 0.01], r"nu must have shape \(1,\), got \(2,\)"),
+    ])
+    def test_wrong_shape_rejected(self, field, value, message):
+        kw = dict(r=0.01, a=0.2, sigma=0.3, d=1, b=[0.01], beta=[[-0.3]], nu=[0.02])
+        with pytest.raises(InvalidParameterError, match=message):
+            ModelParams(**{**kw, field: value})
+
     def test_single_factor_matches_scalar_inequality(self):
         # the d=1 slacks reduce to 0 <= b <= a(r - a - beta)
         rng = np.random.default_rng(7)
@@ -154,6 +163,17 @@ class TestJumps:
             TwoPoint(z1=-1.5, p=0.5, z2=0.2)
         with pytest.raises(InvalidParameterError):
             JumpSpec(lam=-1.0)
+
+    @pytest.mark.parametrize("p", [-0.1, 1.1, np.nan])
+    def test_probability_outside_the_unit_interval_rejected(self, p):
+        with pytest.raises(InvalidParameterError, match=r"probability p must be in \[0, 1\]"):
+            TwoPoint(z1=-0.2, p=p, z2=0.2)
+
+    @pytest.mark.parametrize("m", [-1, 1.5, np.nan, np.inf])
+    def test_bad_moment_order_rejected(self, m):
+        j = JumpSpec(lam=1.0, dist=PointMass(-0.1))
+        with pytest.raises(InvalidParameterError, match="moment order must be"):
+            jump_moment(j, m)
 
     def test_jensen_consistency(self):
         rng = np.random.default_rng(5)

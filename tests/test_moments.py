@@ -54,6 +54,11 @@ class TestExpmApply:
         with pytest.raises(NumericError):
             expm_apply(np.array([[np.nan, 0], [0, 0]]), 1.0, np.zeros(2))
 
+    @pytest.mark.parametrize("dt", [0.0, 1.0])
+    def test_non_finite_vector_rejected(self, dt):
+        with pytest.raises(NumericError, match="non-finite entries in matrix-exponential input"):
+            expm_apply(np.zeros((2, 2)), dt, np.array([np.nan, 0.0]))
+
 
 class TestConditionalMoments:
     def test_zero_horizon_returns_state_monomials(self, params_a02, state0):
@@ -79,6 +84,12 @@ class TestConditionalMoments:
         two_hop = expm_apply(g, 2.0, expm_apply(g, 1.0, h))
         np.testing.assert_allclose(two_hop, one_hop, rtol=1e-9)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_moments_raise(self, state0):
+        # with b = 0 the stock's second moment grows like e^{(2r + sigma^2) T}
+        with pytest.raises(NumericError, match="matrix exponential produced non-finite values"):
+            conditional_moments(b0_params(), None, state0, 0.0, 1e5, 2)
+
     def test_reject_reversed_horizon(self, params_a02, state0):
         with pytest.raises(InvalidParameterError):
             conditional_moments(params_a02, None, state0, 1.0, 0.5, 2)
@@ -93,6 +104,12 @@ class TestFutures:
         st = State(0.0, 1.5, [0.0])
         assert stock_futures(p, None, st, 0.0, 2.0) == pytest.approx(
             1.5 * math.exp(0.04), rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_futures_raise(self, state0):
+        # with b = 0 the stock futures grow like e^{rT}: 1e6 years overflow
+        with pytest.raises(NumericError, match="matrix exponential produced non-finite values"):
+            stock_futures(b0_params(), None, state0, 0.0, 1e6)
 
     def test_dividend_futures_b0_closed_form(self, state0):
         p = b0_params()
