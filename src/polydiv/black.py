@@ -19,12 +19,19 @@ def _require_finite(forward, strike, expiry, vol, rate):
                                     f"{strike}, expiry {expiry}, vol {vol}, rate {rate}")
 
 
+def _overflow(name, exponent):
+    return InvalidParameterError(f"the {name} exponent {exponent:.6g} overflows a float")
+
+
 def black76_price(forward, strike, expiry, vol, rate, kind="call"):
     """Lognormal option price on a futures/forward level."""
     _require_finite(forward, strike, expiry, vol, rate)
     if forward <= 0 or strike <= 0:
         raise InvalidParameterError("forward and strike must be positive")
-    discount = math.exp(-rate * expiry)
+    try:
+        discount = math.exp(-rate * expiry)
+    except OverflowError:
+        raise _overflow("discount", -rate * expiry) from None
     if vol <= 0 or expiry <= 0:
         call = discount * max(forward - strike, 0.0)
     else:
@@ -51,7 +58,10 @@ def black76_derivatives(forward, strike, expiry, vol, rate, kind="call"):
     _require_finite(forward, strike, expiry, vol, rate)
     if not (forward > 0 and strike > 0 and vol > 0 and expiry > 0):
         raise InvalidParameterError("need positive forward, strike, vol and expiry")
-    discount = math.exp(-rate * expiry)
+    try:
+        discount = math.exp(-rate * expiry)
+    except OverflowError:
+        raise _overflow("discount", -rate * expiry) from None
     s = vol * math.sqrt(expiry)
     d1 = (math.log(forward / strike) + 0.5 * s * s) / s
     itm_forward, itm_strike = ndtr(d1), ndtr(d1 - s)      # the call's; a put's are 1 less
@@ -70,7 +80,10 @@ def black_scholes_price(spot, strike, expiry, vol, rate, dividend_yield=0.0, kin
     Black-76 on the forward spot * exp((rate - dividend_yield) * expiry)."""
     if spot <= 0 or strike <= 0:
         raise InvalidParameterError("spot and strike must be positive")
-    forward = spot * math.exp((rate - dividend_yield) * expiry)
+    try:
+        forward = spot * math.exp((rate - dividend_yield) * expiry)
+    except OverflowError:
+        raise _overflow("forward", (rate - dividend_yield) * expiry) from None
     return black76_price(forward, strike, expiry, vol, rate, kind)
 
 
@@ -87,7 +100,10 @@ def implied_vol(price, level, strike, expiry, rate, convention="black-scholes",
             f"need finite inputs, got price {price}, level {level}, strike {strike}, "
             f"expiry {expiry}, rate {rate}, dividend yield {dividend_yield}")
     if convention == "black-scholes":
-        forward = level * math.exp((rate - dividend_yield) * expiry)
+        try:
+            forward = level * math.exp((rate - dividend_yield) * expiry)
+        except OverflowError:
+            raise _overflow("forward", (rate - dividend_yield) * expiry) from None
     elif convention == "black76":
         forward = level
     else:
@@ -96,7 +112,10 @@ def implied_vol(price, level, strike, expiry, rate, convention="black-scholes",
     def price_at(v):
         return black76_price(forward, strike, expiry, v, rate, kind)
 
-    discount = math.exp(-rate * expiry)
+    try:
+        discount = math.exp(-rate * expiry)
+    except OverflowError:
+        raise _overflow("discount", -rate * expiry) from None
     if kind == "call":
         intrinsic = discount * max(forward - strike, 0.0)
         upper = discount * forward

@@ -254,12 +254,12 @@ def _encode(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _report(command, config_echo, payload, seed=None, started=None):
+def _report(command, config_echo, payload, started, seed=None):
     meta = {
         "versions": {"polydiv": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
         "blas_single_thread": _blas.libraries(),
         "seed": seed,
-        "elapsed_s": round(time.perf_counter() - started, 6) if started is not None else None,
+        "elapsed_s": round(time.perf_counter() - started, 6),
     }
     return {"command": command, "config": config_echo, "payload": payload, "meta": meta}
 

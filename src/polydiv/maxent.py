@@ -13,13 +13,11 @@ node set before a fit is accepted.
 
 Neither the moments of an option's underlying nor their fits depend on
 the strike, so repeated prices on one underlying (a strike grid, a
-moment-count sweep) reuse them.  The moments come from ``_record``, of the
-underlying priced last (the model, jump and state numbers): since the
-generator never mixes degrees, a larger moment count extends a line's
-vector by degree and a smaller one reads its prefix, and the record's
-lines share each exponential.  Cold fits go through ``_cold_fit``, an LRU
-cache keyed by the exact bytes of a moment vector, which holds a failed
-fit too.
+moment-count sweep) reuse them.  The moments come from the public moment
+functions, which share the moments module's record of the model priced
+last: a larger count extends a line's vector by degree, a smaller one reads
+its prefix.  Cold fits go through ``_cold_fit``, an LRU cache keyed by the
+exact bytes of a moment vector, which holds a failed fit too.
 
 A fit may start from an earlier density fitted to at most as many moments
 (``fit_maxent(m, start=...)``): Newton tries its standardized coefficients,
@@ -38,8 +36,7 @@ the cache.
 
 import math
 import numbers
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -48,9 +45,7 @@ from scipy.special import roots_legendre
 
 from ._blas import single_thread
 from .errors import ConvergenceError, InfeasibleMomentsError, InvalidParameterError
-from .moments import _power_moment_tangents, _power_moments
-# kept for perfbench's tracer, which wraps them here
-from .moments import cumulative_dividend_moments, stock_price_moments  # noqa: F401
+from .moments import _power_moment_tangents, cumulative_dividend_moments, stock_price_moments
 
 _TAIL_WIDTHS = 40.0      # upper domain cut: M1 + 40 standard deviations
 _SUPPORT_WIDTHS = 30.0   # lower support cut for concentrated densities
@@ -58,7 +53,6 @@ _FIT_NODES = 800         # first quadrature size; doubled (up to 4x) if the chec
 _NEWTON_ITERS, _NEWTON_TOL = 200, 1e-12
 _VERIFY_TOL = 1e-10      # accepted residual, also on the refined rule
 _MEMO_SIZE = 24          # cold fits held: counts 2..6 of four underlyings
-_MEMO_LOCK = threading.Lock()   # guards swapping and extending ``_record``
 
 
 @dataclass(frozen=True, eq=False)
@@ -509,37 +503,20 @@ def fit_fields(density, n_moments):
             "cut_log_pdf_ratio": float(polyval(z_mean, exponent) - polyval(z_cut, exponent))}
 
 
-@dataclass(eq=False)
-class _Record:
-    """One pass over the lines of one underlying: the model, jump and state by
-    value (``key``: arrays can change in place), each line's moments by
-    (dt, window), extended by degree, and the exponentials its lines share
-    (see ``moments._power_moments``).  ``last`` is the line priced last."""
-
-    key: tuple
-    moments: dict = field(default_factory=dict)
-    held: dict = field(default_factory=dict)
-    last: tuple = None
-
-
-_record = _Record(None)   # of the underlying priced last; swapped, never cleared
-
-
 def _option_line(spec, state):
-    """The moment line (dt, window) of the option's underlying, with window
-    None for the stock and no line (None) for a zero-length window, and the
-    strike on it (see :func:`_option_inputs`)."""
+    """The dates of the option's underlying from t = 0, (T,) for the stock
+    and (T0, T1) with T0 >= 0 for a window, or None for a zero-length
+    window, and the strike on it (see :func:`_option_inputs`)."""
     if spec.underlying == "stock":
-        return (spec.expiry, None), spec.strike
+        return (spec.expiry,), spec.strike
     t0, t1 = spec.window
     if t1 == t0:
         return None, spec.strike
     if t1 < 0:
         raise InvalidParameterError(f"window {spec.window} has ended")
-    return (max(t0, 0.0), t1 - max(t0, 0.0)), spec.strike - (state.c if t0 < 0 else 0.0)
+    return (max(t0, 0.0), t1), spec.strike - (state.c if t0 < 0 else 0.0)
 
 
-@single_thread
 def _option_inputs(params, jump, state, spec, n_moments):
     """Moments M_1..M_N of the option's underlying, the strike on it, and the discount.
 
@@ -549,11 +526,7 @@ def _option_inputs(params, jump, state, spec, n_moments):
     the latter with the strike lowered by ``state.c``.  A zero-length
     window pays on no dividends.
 
-    The moments come read-only from the record of the underlying priced
-    last: a larger N adds degrees to a line's vector, a smaller one reads
-    its prefix, and each exponential is made once per record.  Coming back
-    to a line the record has left starts a new record, so a repeated pass
-    over a model's lines makes the calls of the first.
+    The moments come from the public moment functions, through their record.
     """
     if not (isinstance(n_moments, numbers.Real) and float(n_moments).is_integer()
             and n_moments >= 2):
@@ -561,26 +534,11 @@ def _option_inputs(params, jump, state, spec, n_moments):
                                     f"got {n_moments!r}")
     n_moments = int(n_moments)
     discount = math.exp(-spec.rate * spec.expiry)
-    line, strike = _option_line(spec, state)
-    if line is None:
+    dates, strike = _option_line(spec, state)
+    if dates is None:
         return np.zeros(n_moments), strike, discount
-
-    global _record
-    key = (params.r, params.a, params.sigma, params.d, params.b.tobytes(),
-           params.beta.tobytes(), params.nu.tobytes(), jump,
-           state.c, state.x, state.y.tobytes())
-    with _MEMO_LOCK:
-        record = _record
-        if record.key != key or (line != record.last and line in record.moments):
-            record = _record = _Record(key)
-        record.last = line
-        raw = record.moments.get(line, np.empty(0))
-        if raw.size < n_moments:
-            more = _power_moments(params, jump, state, line[0], n_moments, window=line[1],
-                                  first=raw.size + 1, held=record.held)
-            raw = record.moments[line] = np.concatenate((raw, more))
-            raw.flags.writeable = False
-    return raw[:n_moments], strike, discount
+    moments = stock_price_moments if len(dates) == 1 else cumulative_dividend_moments
+    return moments(params, jump, state, 0.0, *dates, n_moments), strike, discount
 
 
 @single_thread
@@ -596,8 +554,11 @@ def price_option(params, jump, state, spec, n_moments, start=None):
     below two.  ``start`` (a density or ``None``) seeds, outside the cache,
     every count tried that is at least its own (see :func:`fit_maxent`);
     smaller counts fit cold, each through the cold fits of its prefixes
-    (see ``_cold_fit``).
+    (see ``_cold_fit``).  A ``start`` that is not a density raises
+    :class:`InvalidParameterError`.
     """
+    if not (start is None or isinstance(start, MaxEntDensity)):
+        raise InvalidParameterError(f"start must be a MaxEntDensity, got {type(start).__name__}")
     raw_moments, strike, discount = _option_inputs(params, jump, state, spec, n_moments)
     payoff = option_payoff(spec.kind, strike)
     m1, m2 = raw_moments[:2]
@@ -631,7 +592,8 @@ def price_tangents(params, jump, state, spec, density):
     by the basis change.  The expectations run on the fit's own panels,
     split at the strike as the price's integral is.
     """
-    line, strike = _option_line(spec, state)
+    dates, strike = _option_line(spec, state)
+    window = dates[1] - dates[0] if len(dates) == 2 else None
     n = density.moments.size - 1
     x, w = _panel_nodes(_split_panels(density.panels, (strike,)))
     prob = w * density.pdf(x)
@@ -646,7 +608,7 @@ def price_tangents(params, jump, state, spec, density):
     # a call loses, a put gains, the probability of ending in the money
     d_strike = -prob[x > strike].sum() if spec.kind == "call" else prob[x < strike].sum()
     discount = math.exp(-spec.rate * spec.expiry)
-    return (discount * d_moments @ _power_moment_tangents(params, jump, state, line[0], n, line[1]),
+    return (discount * d_moments @ _power_moment_tangents(params, jump, state, dates[0], n, window),
             discount * d_strike)
 
 

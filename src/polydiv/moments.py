@@ -13,11 +13,16 @@ Futures prices and the dividend present value need only degree one, where
 the diffusions and the compensated jumps drop out: the (2 + d) drift matrix.
 With no small moments to lose there, the mean itself is carried forward,
 over a whole futures strip at once (:func:`futures_strip`).
+
+Both power-moment functions read through one record of the model read
+last, which extends a line's moments by degree and shares their
+exponentials (:func:`_power_moments`), and return fresh arrays.
 """
 
 import math
 import numbers
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -199,9 +204,25 @@ def dividend_futures(params, jump, state, t, T0, T1):
     return float(futures_strip(params, state, t, ((T0, T1),))[0][0])
 
 
-def _power_moments(params, jump, state, dt, n, window=None, first=1, held=None):
-    """E_t[P^k], k = first..n, for P = X_T at T = t + dt, or with a `window`
-    length for P = C_T1 - C_T0 over [T0, T1] = [T, T + window].
+@dataclass(eq=False)
+class _Record:
+    """The model, jump and state by value (``key``: arrays can change in place),
+    each line's moments by (dt, window), the exponentials its lines share
+    and the line read ``last`` (see :func:`_power_moments`)."""
+
+    key: tuple
+    moments: dict = field(default_factory=dict)
+    held: dict = field(default_factory=dict)
+    last: tuple = None
+
+
+_record = _Record(None)          # of the model read last; swapped, never cleared
+_RECORD_LOCK = threading.Lock()  # guards swapping and extending ``_record``
+
+
+def _power_moments(params, jump, state, dt, n, window=None):
+    """E_t[P^k], k = 1..n, as a fresh array, for P = X_T at T = t + dt, or
+    with a `window` length for P = C_T1 - C_T0 over [T0, T1] = [T, T + window].
 
     X_T^k is the x^k row, which leads the c-free sub-block of degree k.  As
     C_T1 - C_T0 accrues like C restarted from 0 at T0, E_T0[P^k] is the c^k
@@ -210,29 +231,43 @@ def _power_moments(params, jump, state, dt, n, window=None, first=1, held=None):
     c-free sub-block, so ``state.c`` does not enter.
 
     The generator never mixes degrees, so each E_t[P^k] needs block k alone
-    and is the same number whatever n is asked for.  `held`, a dict, keeps
-    the c-free exponentials by (degree, dt) and the carried-back window rows
-    by (degree, window): the lines of one model passed the same dict share
-    them, bit for bit.
+    and is the same number whatever n is asked for.  So ``_record`` extends a
+    line (dt, window)'s vector by degree and reads a smaller n's prefix; its
+    lines share the c-free exponentials by (degree, dt) and the carried-back
+    window rows by (degree, window), bit for bit.  A new model, jump or state,
+    or a return to a line it has left, starts a new record, so a repeated pass
+    over a model's lines makes the calls of the first.
     """
-    held = {} if held is None else held
-    basis = build_basis(params.d, n)
-    mat = build_generator(params, jump, basis)
-    h = eval_basis(basis, state)
-    out = np.empty(n - first + 1)
-    for k in range(first, n + 1):
-        s, f = basis.blocks[k], basis.c_free[k]
-        if window is None:
-            row = np.eye(f.stop - f.start)[0]
-        else:
-            if ("row", k, window) not in held:
-                carried = expm_apply(mat[s, s].T, window, np.eye(s.stop - s.start)[0])
-                held["row", k, window] = carried[f.start - s.start:]
-            row = held["row", k, window]
-        if ("c-free", k, dt) not in held:
-            held["c-free", k, dt] = _exponential(mat[f, f].T, dt)
-        out[k - first] = _apply(held["c-free", k, dt], row) @ h[f]
-    return out
+    global _record
+    key = (params.r, params.a, params.sigma, params.d, params.b.tobytes(),
+           params.beta.tobytes(), params.nu.tobytes(), jump,
+           state.c, state.x, state.y.tobytes())
+    line = (dt, window)
+    with _RECORD_LOCK:
+        record = _record
+        if record.key != key or (line != record.last and line in record.moments):
+            record = _record = _Record(key)
+        record.last = line
+        raw, held = record.moments.get(line, np.empty(0)), record.held
+        if raw.size < n:
+            basis = build_basis(params.d, n)
+            mat = build_generator(params, jump, basis)
+            h = eval_basis(basis, state)
+            more = np.empty(n - raw.size)
+            for k in range(raw.size + 1, n + 1):
+                s, f = basis.blocks[k], basis.c_free[k]
+                if window is None:
+                    row = np.eye(f.stop - f.start)[0]
+                else:
+                    if ("row", k, window) not in held:
+                        carried = expm_apply(mat[s, s].T, window, np.eye(s.stop - s.start)[0])
+                        held["row", k, window] = carried[f.start - s.start:]
+                    row = held["row", k, window]
+                if ("c-free", k, dt) not in held:
+                    held["c-free", k, dt] = _exponential(mat[f, f].T, dt)
+                more[k - raw.size - 1] = _apply(held["c-free", k, dt], row) @ h[f]
+            raw = record.moments[line] = np.concatenate((raw, more))
+    return raw[:n].copy()
 
 
 def _van_loan(a, tau, v, h):

@@ -195,6 +195,23 @@ class TestRejectedInputs:
         with pytest.raises(InvalidParameterError, match="unknown convention 'bachelier'"):
             implied_vol(**_IV_ARGS, convention="bachelier")
 
+    # finite inputs whose discount e^(-rate expiry) or forward e^((rate - q) expiry) overflows
+    @pytest.mark.parametrize("fn", [black76_price, black76_derivatives],
+                             ids=["price", "derivatives"])
+    def test_overflowing_discount(self, fn):
+        with pytest.raises(InvalidParameterError, match="discount exponent 1000 overflows"):
+            fn(1.0, 1.0, 1000.0, 0.2, -1.0)
+
+    def test_overflowing_black_scholes_forward(self):
+        with pytest.raises(InvalidParameterError, match="forward exponent 2000 overflows"):
+            black_scholes_price(1.0, 1.0, 1000.0, 0.2, 1.0, dividend_yield=-1.0)
+
+    def test_overflowing_implied_vol_forward_or_discount(self):
+        with pytest.raises(InvalidParameterError, match="forward exponent 1000 overflows"):
+            implied_vol(0.1, 1.0, 1.0, 1000.0, 1.0)
+        with pytest.raises(InvalidParameterError, match="discount exponent 1000 overflows"):
+            implied_vol(0.1, 1.0, 1.0, 1000.0, -1.0, "black76")
+
 
 def _loaded_by_cli_import(*modules):
     """The given modules that a fresh ``import polydiv.cli`` puts in sys.modules."""

@@ -48,7 +48,7 @@ def caller_count(n):
 @pytest.fixture
 def cold_memo(monkeypatch):
     def clear():
-        monkeypatch.setattr(maxent, "_record", maxent._Record(None))
+        monkeypatch.setattr(moments, "_record", moments._Record(None))
         maxent._cold_fit.cache_clear()
     clear()
     return clear
@@ -93,7 +93,7 @@ def test_count_is_one_inside_price_option(monkeypatch, cold_memo):
 
 
 @requires_blas
-def test_count_restored_after_an_exception(monkeypatch):
+def test_count_restored_after_an_exception(monkeypatch, cold_memo):
     inside = []
 
     def failing_expm(a):

@@ -217,7 +217,7 @@ class TestSnapshotFitPricing:
         for module in (moments, generator):
             monkeypatch.setattr(module, "require_admissible", counted_check)
         monkeypatch.setattr(moments, "expm", counted_expm)
-        monkeypatch.setattr(maxent, "_record", maxent._Record(None))
+        monkeypatch.setattr(moments, "_record", moments._Record(None))
         maxent._cold_fit.cache_clear()
         rows = pricing_errors(res.params, res.d0, market, 6)
         assert len(rows) == market.n_instruments

@@ -300,7 +300,7 @@ class TestDividendOption:
 
 
 def _clear_memo():
-    maxent._record = maxent._Record(None)
+    polydiv.moments._record = polydiv.moments._Record(None)
     maxent._cold_fit.cache_clear()
 
 
@@ -375,16 +375,20 @@ class TestRepeatedPrices:
         expm = polydiv.moments.expm
         monkeypatch.setattr(polydiv.moments, "expm",
                             lambda a: exponentials.append(a.shape) or expm(a))
+        warm = []
         for spec in lines:
             for n in range(2, 7):
-                maxent._option_inputs(p, TWO_POINT_JUMP, st, spec, n)
+                raw = maxent._option_inputs(p, TWO_POINT_JUMP, st, spec, n)[0]
+            warm.append(raw)
         assert len(exponentials) == 4 * 6
-        record = maxent._record
+        record = polydiv.moments._record
         held = sum(v.nbytes for v in record.held.values() if v is not None)
         assert held < 0.5e6
         monkeypatch.setattr(polydiv.moments, "expm", expm)
-        for spec in lines:
-            raw = maxent._option_inputs(p, TWO_POINT_JUMP, st, spec, 6)[0]
+        # each N = 6 vector, extended by degree in the shared record, against
+        # a fresh record's single-line computation
+        for spec, raw in zip(lines, warm):
+            _clear_memo()
             if spec.underlying == "stock":
                 cold = stock_price_moments(p, TWO_POINT_JUMP, st, 0.0, spec.expiry, 6)
             else:
@@ -405,20 +409,29 @@ class TestRepeatedPrices:
         jobs = [(k, n) for k in range(len(specs)) for n in range(2, 7)]
         seen, errors = [], []
 
-        def walk(order):
+        def public(spec, n):
+            if spec.underlying == "stock":
+                return stock_price_moments(p, TWO_POINT_JUMP, st, 0.0, spec.expiry, n)
+            return cumulative_dividend_moments(p, TWO_POINT_JUMP, st, 0.0, *spec.window, n)
+
+        def walk(order, read):
             try:
                 for k, n in order:
-                    raw = maxent._option_inputs(p, TWO_POINT_JUMP, st, specs[k], n)[0]
-                    seen.append((k, n, raw))
+                    seen.append((k, n, read(specs[k], n)))
             except Exception as exc:  # reported below, from the test's own thread
                 errors.append(exc)
+
+        def inputs(spec, n):
+            return maxent._option_inputs(p, TWO_POINT_JUMP, st, spec, n)[0]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=walk, args=(order,))
-                       for order in (jobs, jobs[::-1], jobs[1::2] + jobs[::2],
-                                     sorted(jobs, key=lambda job: job[::-1]))]
+            # the last thread reads the public moment functions themselves
+            threads = [threading.Thread(target=walk, args=(order, read))
+                       for order, read in ((jobs, inputs), (jobs[::-1], inputs),
+                                           (jobs[1::2] + jobs[::2], inputs),
+                                           (sorted(jobs, key=lambda job: job[::-1]), public))]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -437,6 +450,7 @@ class TestRepeatedPrices:
         p.beta[0, 0] -= 0.05
         after = maxent._option_inputs(p, TWO_POINT_JUMP, st, spec, 6)[0]
         assert not np.array_equal(after, before)
+        _clear_memo()
         np.testing.assert_array_equal(
             after, stock_price_moments(p, TWO_POINT_JUMP, st, 0.0, 1.0, 6))
 
@@ -447,6 +461,7 @@ class TestRepeatedPrices:
         before = maxent._option_inputs(p, None, st, spec, 6)[0]
         moved = State(c=st.c, x=st.x, y=st.y * 1.5)
         after = maxent._option_inputs(p, None, moved, spec, 6)[0]
+        _clear_memo()
         if underlying == "stock":
             cold = stock_price_moments(p, None, moved, 0.0, 2.0, 6)
         else:
@@ -460,18 +475,23 @@ class TestRepeatedPrices:
         for k in range(3 * maxent._MEMO_SIZE):
             st = State(c=0.0, x=1.0 + 0.01 * k, y=[0.0371])
             price_stock_option(p, None, st, spec, 3)
-            assert list(maxent._record.moments) == [(0.5, None)]
+            assert list(polydiv.moments._record.moments) == [(0.5, None)]
             assert maxent._cold_fit.cache_info().currsize <= maxent._MEMO_SIZE
 
-    def test_cached_moments_are_read_only(self):
+    def test_returned_moments_are_copies_of_the_record(self):
+        # writing to a returned vector leaves the record, and so the next call's vector, intact
         p, st = reference_params(0.2), reference_state()
         spec = OptionSpec("call", "stock", 1.0, 0.5, p.r)
         raw = maxent._option_inputs(p, None, st, spec, 4)[0]
-        with pytest.raises(ValueError):
-            raw[0] = 0.0
-        with pytest.raises(ValueError):
-            raw[:2][1] = 0.0
-        np.testing.assert_array_equal(raw, stock_price_moments(p, None, st, 0.0, 0.5, 4))
+        kept = raw.copy()
+        raw[:] = 0.0
+        np.testing.assert_array_equal(maxent._option_inputs(p, None, st, spec, 4)[0], kept)
+        raw = stock_price_moments(p, None, st, 0.0, 0.5, 3)
+        raw[:] = 0.0
+        np.testing.assert_array_equal(stock_price_moments(p, None, st, 0.0, 0.5, 4), kept)
+        np.testing.assert_array_equal(polydiv.moments._record.moments[0.5, None], kept)
+        _clear_memo()
+        np.testing.assert_array_equal(stock_price_moments(p, None, st, 0.0, 0.5, 4), kept)
 
     @pytest.mark.parametrize("underlying", ["dividend", "stock"])
     def test_one_build_per_count_and_one_fit_per_moment_vector(self, underlying, monkeypatch):
@@ -672,6 +692,13 @@ class TestStartedFit:
         bad = fit.gamma if start == "gamma" else fit
         with pytest.raises(InvalidParameterError, match="start must be"):
             fit_maxent(m if start == "gamma" else m[:6], start=bad)
+
+    @pytest.mark.parametrize("start", [np.zeros(3), 0.5], ids=["array", "float"])
+    def test_price_rejects_a_start_that_is_not_a_density(self, start):
+        p, st = reference_params(0.2), reference_state()
+        spec = OptionSpec("call", "stock", 1.0, 1.0, p.r)
+        with pytest.raises(InvalidParameterError, match="start must be a MaxEntDensity"):
+            price_option(p, None, st, spec, 4, start=start)
 
     def test_cold_fit_is_unchanged(self):
         # recorded with power tables made by repeated multiplication (numpy
