@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import sys
@@ -832,3 +833,64 @@ class TestPriceTangents:
             for strike in (spec.strike + h, spec.strike - h))
         assert d_strike == pytest.approx((up - down) / (2 * h), rel=1e-8)
         assert (d_strike < 0) == (kind == "call")
+
+
+class TestNewtonPins:
+    """Newton's line search, pinned bit for bit: the fits below reject
+    line-search candidates, and a non-finite start is rejected."""
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        _clear_memo()
+        yield
+        _clear_memo()
+
+    def test_chained_window_fits_are_unchanged(self):
+        # the seed-(1, 1) three-factor jump model's window (2, 3), N = 2..6,
+        # each fit chained from its prefix; the N = 3 and N = 5 fits reject
+        # most line-search candidates (47 and 64 evaluations for 14 and 13 + 2
+        # iterations).  Recorded with numpy 2.4 and scipy 1.17.
+        rng = np.random.default_rng([1, 1])
+        p = random_admissible_params(rng, 3)
+        st = random_state_in_E(rng, p)
+        spec = OptionSpec("call", "dividend", 1.0, 3.0, p.r, (2.0, 3.0))
+        pinned = {
+            2: (10, ["0x1.a0b05663a0d74p-2", "-0x1.2f0e8db11bc53p+5", "0x1.2fdf226890cdfp+7"],
+                "0x1.1a52e994ed2bcp-52"),
+            3: (14, ["0x1.5646aee6afa06p-1", "-0x1.624cd980c7167p+5", "0x1.82d945b6a6d5ep+7",
+                     "-0x1.2b159f83da50bp+6"], "0x1.b7646a2dfbd2bp-52"),
+            4: (37, ["0x1.d5b4f0d469018p+1", "-0x1.f50c27415f8abp+6", "0x1.a39d42e0931e3p+9",
+                     "-0x1.d47e860ae983bp+10", "0x1.5a9cfc67dc795p+10"], "0x1.f4a3d199be66ap-45"),
+            5: (2, ["0x1.21d0ae282a69fp+2", "-0x1.2d2518b39a5b2p+7", "0x1.0eacdc72c590dp+10",
+                    "-0x1.61cb079b402e5p+11", "0x1.6d4e0e5440c80p+11", "-0x1.976c99f433304p+9"],
+                "0x1.e69f2eec2f0a5p-43"),
+            6: (64, ["0x1.664ac493f3371p+2", "-0x1.71a50a35a9833p+7", "0x1.6c03b7aeda4e9p+10",
+                     "-0x1.1f990ebb314c3p+12", "0x1.a6a3654ceebd9p+12", "-0x1.11574cc175095p+12",
+                     "0x1.f99fad42f421cp+9"], "0x1.06e4307cfdc2cp-41"),
+        }
+        for n, (iterations, lambdas, residual) in pinned.items():
+            density = price_option(p, TWO_POINT_JUMP, st, spec, n)[1]
+            assert density.moments.size == n + 1
+            assert [v.hex() for v in density.lambdas] == lambdas
+            assert density.residual.hex() == residual
+            assert density.iterations == iterations
+
+    def test_an_infinite_start_is_rejected(self):
+        m = np.array([math.exp(0.02 * k * (k - 1)) for k in range(5)])
+        cold = fit_maxent(m)
+        u, w = maxent._panel_nodes(tuple((a / cold.scale, b / cold.scale, count)
+                                         for a, b, count in cold.panels))
+        mu = m[1:] / cold.scale ** np.arange(1, 5)
+        start = np.array([0.0, 0.5, math.inf, 0.0])
+        with np.errstate(invalid="ignore"):
+            lam, gamma, log_z, iterations, residual = maxent._dual_newton(
+                mu, u, w, start, cold.z_center, cold.z_scale)
+            started = fit_maxent(m, start=dataclasses.replace(cold, gamma=start))
+        # every candidate is NaN: no step is taken, and the start comes back
+        assert iterations == 1
+        assert math.isnan(residual) and math.isnan(log_z)
+        np.testing.assert_array_equal(gamma, start)
+        # so the fit goes on to the cold starts
+        assert started.newton_start == cold.newton_start == "gaussian"
+        assert started.iterations == cold.iterations
+        np.testing.assert_array_equal(started.lambdas, cold.lambdas)
