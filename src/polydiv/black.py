@@ -109,9 +109,6 @@ def implied_vol(price, level, strike, expiry, rate, convention="black-scholes",
     else:
         raise InvalidParameterError(f"unknown convention {convention!r}")
 
-    def price_at(v):
-        return black76_price(forward, strike, expiry, v, rate, kind)
-
     try:
         discount = math.exp(-rate * expiry)
     except OverflowError:
@@ -137,6 +134,24 @@ def implied_vol(price, level, strike, expiry, rate, convention="black-scholes",
     from scipy.optimize import brentq
 
     lo, hi = 1e-12, 0.5
+    # black76_price at each vol of the search, its checks made once, at its
+    # first vol, and its vol-free parts made once: the same bits as the call
+    _require_finite(forward, strike, expiry, hi, rate)
+    if forward <= 0 or strike <= 0:
+        raise InvalidParameterError("forward and strike must be positive")
+    if expiry > 0:
+        root_t, log_moneyness = math.sqrt(expiry), math.log(forward / strike)
+        parity = discount * (forward - strike) if kind == "put" else 0.0   # call - 0.0 is call
+
+        def price_at(v):
+            s = v * root_t
+            d1 = (log_moneyness + 0.5 * s * s) / s
+            call = discount * (forward * ndtr(d1) - strike * ndtr(d1 - s))
+            return call - parity
+    else:
+        def price_at(v):
+            return black76_price(forward, strike, expiry, v, rate, kind)
+
     while price_at(hi) < price:
         hi *= 2.0
         if hi > VOL_CAP:

@@ -24,7 +24,9 @@ pure number times one parameter factor: 1, r, b_k, beta_kl, sigma^2/a^q,
 nu_k^2/a^q or lam E[Z^m]/a^q.  The pattern is therefore computed once per
 basis, as a template of (flat index, term id, multiplier) triples, and
 :func:`build_generator` only evaluates the short vector of term factors
-and sums the weighted entries with one ``np.bincount``.
+and sums the weighted entries with one ``np.bincount``.  A caller that
+needs one degree block builds it alone (:func:`build_block`) from the
+template's entries in that block.
 """
 
 import math
@@ -85,10 +87,11 @@ class PolyBasis:
         """Index of the monomial c^i x^j y^alpha; KeyError if absent."""
         return self._pos[MultiIndex(i, j, tuple(alpha))]
 
-    def eval(self, c, x, y):
-        """Componentwise monomial evaluation, in basis order."""
+    def eval(self, c, x, y, rows=slice(None)):
+        """Componentwise monomial evaluation, in basis order; ``rows`` (a
+        slice) evaluates only those monomials."""
         point = np.concatenate(([c, x], np.atleast_1d(np.asarray(y, dtype=float))))
-        return np.prod(point ** self.exponents, axis=1)
+        return np.prod(point ** self.exponents[rows], axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -263,6 +266,41 @@ def build_generator(params, jump, basis):
     weights = tpl.mult * _term_factors(params, jump, basis.n)[tpl.term]
     size = basis.size
     return np.bincount(tpl.flat, weights=weights, minlength=size * size).reshape(size, size)
+
+
+@lru_cache(maxsize=None)
+def _block_template(d, n, k):
+    """The entries of ``_generator_template(d, n)`` in degree block k, in
+    template order, with flat indices into the block."""
+    tpl = _generator_template(d, n)
+    basis = build_basis(d, n)
+    s = basis.blocks[k]
+    width = s.stop - s.start
+    row, col = np.divmod(tpl.flat, basis.size)
+    inside = (row >= s.start) & (row < s.stop)    # and so col: G never mixes degrees
+    block = _Template((row[inside] - s.start) * width + col[inside] - s.start,
+                      tpl.term[inside], tpl.mult[inside])
+    for arr in block:
+        arr.flags.writeable = False
+    return block
+
+
+def build_block(params, jump, basis, k):
+    """Degree block k of the generator on `basis`,
+    ``build_generator(params, jump, basis)[s, s]`` for ``s = basis.blocks[k]``,
+    bit for bit: the same template entries, weighted alike and summed in the
+    same order.
+
+    Unlike :func:`build_generator` it does not check admissibility; a
+    caller building several blocks checks once, with
+    :func:`polydiv.model.require_admissible`.
+    """
+    if params.d != basis.d:
+        raise InvalidParameterError(f"parameters have d={params.d}, the basis d={basis.d}")
+    tpl = _block_template(basis.d, basis.n, k)
+    weights = tpl.mult * _term_factors(params, jump, basis.n)[tpl.term]
+    width = basis.blocks[k].stop - basis.blocks[k].start
+    return np.bincount(tpl.flat, weights=weights, minlength=width * width).reshape(width, width)
 
 
 def generator_directions(params, basis):

@@ -94,11 +94,13 @@ class MaxEntDensity:
         """Density values, zero outside [support_lo, x_max]."""
         x = np.asarray(x, dtype=float)
         u = x / self.scale
-        z = (u - self.z_center) / self.z_scale
-        # Horner's rule: a table of powers of z costs six times as much
-        expo = -(self.log_norm + polyval(z, np.concatenate(([0.0], self.gamma))))
+        out = _log_pdf((u - self.z_center) / self.z_scale, self.gamma, self.log_norm)
         inside = (x >= self.support_lo) & (u <= 1.0)
-        out = np.where(inside, np.exp(np.where(inside, expo, 0.0)), 0.0) / self.scale
+        if inside.all():        # as on the fit's own panels
+            np.exp(out, out=out)
+        else:
+            out = np.where(inside, np.exp(np.where(inside, out, 0.0)), 0.0)
+        out /= self.scale
         return out if out.ndim else float(out)
 
     def entropy(self):
@@ -129,13 +131,18 @@ def _gauss_legendre01(n):
 
 
 def _panel_nodes(panels):
-    """Nodes and weights of the composite Gauss-Legendre rule on ``panels``."""
-    nodes, weights = [], []
+    """Nodes and weights of the composite Gauss-Legendre rule on ``panels``:
+    a + (b - a) u and (b - a) w on each, written in place."""
+    size = sum(count for _, _, count in panels)
+    nodes, weights = np.empty(size), np.empty(size)
+    stop = 0
     for a, b, count in panels:
         u, w = _gauss_legendre01(count)
-        nodes.append(a + (b - a) * u)
-        weights.append((b - a) * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+        start, stop = stop, stop + count
+        np.multiply(u, b - a, out=nodes[start:stop])
+        nodes[start:stop] += a
+        np.multiply(w, b - a, out=weights[start:stop])
+    return nodes, weights
 
 
 def _quad_rule(center, width, n, lo=0.0):
@@ -182,10 +189,28 @@ def _start_points(mu, s0):
     return [("exponential", exp_start), ("gaussian", gauss)]
 
 
-def _columns(v, n):
-    """``n`` read-only copies of the vector ``v`` side by side, for ``np.cumprod`` to
-    turn into the powers v^1..v^n."""
-    return np.broadcast_to(v[:, None], (v.size, n))
+def _powers(v, n, out=None):
+    """The powers v^1..v^n as the columns of a C-ordered (v.size, n) table
+    (or of ``out``), by repeated multiplication: the bits of ``np.cumprod``
+    along the rows, one column at a time instead of one short row at a time."""
+    out = np.empty((v.size, n)) if out is None else out
+    out[:, 0] = v
+    for k in range(1, n):
+        np.multiply(out[:, k - 1], v, out=out[:, k])
+    return out
+
+
+def _log_pdf(z, gamma, log_norm):
+    """-(log_norm + polyval(z, (0, *gamma))) as a fresh array (or a 0-d one):
+    Horner's rule, in place, in ``polyval``'s order and so with its bits.  A
+    table of powers of z costs six times as much."""
+    out = np.multiply(z, 0.0, out=np.empty_like(z))
+    out += gamma[-1]
+    for c in (*gamma[-2::-1], 0.0):
+        out *= z
+        out += c
+    out += log_norm
+    return np.negative(out, out=out)
 
 
 def _z_basis(m0, s0, n):
@@ -208,35 +233,51 @@ def _dual_newton(mu, nodes, weights, gamma0, m0, s0):
     under this affine change, but the linear solves are not, which is the
     whole point.  Residuals are always measured on the raw moments ``mu``.
 
+    Most of the time goes to evaluating line-search candidates, about half of
+    which are rejected, and each evaluation is a few short numpy calls on the
+    nodes.  So a candidate is evaluated in place on the one fresh array its
+    exponent makes: ``shift - expo`` (exactly ``-(expo - shift)``), then the
+    exponential, the weights and the normalization.  Its residual is a ``max``
+    over the N Python floats of the same difference, absolute value and
+    quotient, and its scalars are tested with ``math.isfinite``.  Every float
+    the iteration compares or returns comes from the same IEEE operations, in
+    the same order, as the plain array expressions would make it: a NaN
+    candidate (every moment NaN, as the normalization is) is still rejected,
+    and the results are the same bits.
+
     Returns (lam_scaled including lam_0, gamma, log_z, iterations, residual).
     """
     n = mu.size
     # power tables by repeated multiplication, as the refined-rule check builds them
-    zpow = np.ones((nodes.size, 2 * n + 1))
-    np.cumprod(_columns((nodes - m0) / s0, 2 * n), axis=1, out=zpow[:, 1:])
-    upow = np.cumprod(_columns(nodes, n), axis=1)
+    zpow = np.empty((nodes.size, 2 * n + 1))
+    zpow[:, 0] = 1.0
+    _powers((nodes - m0) / s0, 2 * n, out=zpow[:, 1:])
+    zcols = zpow[:, 1:n + 1]
+    upow = _powers(nodes, n)
     chg = _z_basis(m0, s0, n)
     target_z = chg[1:] @ np.concatenate(([1.0], mu))
     # Hessian [p, q] = cov(z^(p+1), z^(q+1)) = <z^(p+q+2)> - <z^(p+1)><z^(q+1)>: exactly symmetric
     hankel = np.add.outer(np.arange(2, n + 2), np.arange(n))
     ridge = 1e-13 * np.eye(n)
-    mu_abs = np.maximum(np.abs(mu), 1e-300)
+    targets = [(v, max(abs(v), 1e-300)) for v in mu.tolist()]
 
     def state(g):
-        expo = zpow[:, 1:n + 1] @ g
-        shift = expo.min()
-        phi = weights * np.exp(-(expo - shift))
-        total = phi.sum()
-        prob = phi / total
+        prob = zcols @ g                # the exponent, then the probabilities
+        shift = prob.min()
+        np.subtract(shift, prob, out=prob)
+        np.exp(prob, out=prob)
+        prob *= weights
+        total = prob.sum()
+        prob /= total
         umom = upow.T @ prob            # <u^1 .. u^N>
         log_z = math.log(total) - shift
         merit = log_z + g @ target_z
-        resid = np.abs(umom - mu) / mu_abs
-        return prob, umom, log_z, merit, float(resid.max())
+        resid = max([abs(u - v) / scale for u, (v, scale) in zip(umom.tolist(), targets)])
+        return prob, umom, log_z, merit, resid
 
-    gamma = np.asarray(gamma0, dtype=float).copy()
+    gamma = np.asarray(gamma0, dtype=float)
     prob, umom, log_z, merit, residual = state(gamma)
-    best = (gamma.copy(), log_z, residual)
+    best = (gamma, log_z, residual)
     it = 0
     for it in range(1, _NEWTON_ITERS + 1):
         if residual < _NEWTON_TOL:
@@ -246,14 +287,15 @@ def _dual_newton(mu, nodes, weights, gamma0, m0, s0):
         grad = chg[1:, 1:] @ (mu - umom)
         # the Hessian's moments, made only here: most line-search candidates are rejected
         zmom = zpow.T @ prob            # <z^0 .. z^2N>
-        hess = zmom[hankel] - np.outer(zmom[1:n + 1], zmom[1:n + 1])
-        dscale = 1.0 / np.sqrt(np.maximum(np.diag(hess), 1e-30))
+        zm = zmom[1:n + 1]
+        hess = zmom[hankel] - zm[:, None] * zm
+        dscale = 1.0 / np.sqrt(np.maximum(hess.diagonal(), 1e-30))
         hs = hess * dscale[:, None] * dscale[None, :]
         try:
             step = dscale * np.linalg.solve(hs + ridge, -(dscale * grad))
         except np.linalg.LinAlgError:
             step = dscale * np.linalg.lstsq(hs, -(dscale * grad), rcond=None)[0]
-        if not np.all(np.isfinite(step)):
+        if not np.isfinite(step).all():
             step = -grad
 
         slope = grad @ step
@@ -265,10 +307,10 @@ def _dual_newton(mu, nodes, weights, gamma0, m0, s0):
             # Armijo on the dual merit drives the global phase; once the
             # merit gets too flat to compare reliably, accepting on raw
             # residual decrease keeps the tail convergence going
-            ok_merit = np.isfinite(merit_c) and (
+            ok_merit = math.isfinite(merit_c) and (
                 merit_c <= merit + 1e-4 * t * slope + 1e-13 * abs(merit)
             )
-            ok_resid = np.isfinite(resid_c) and resid_c < residual * (1.0 - 1e-4)
+            ok_resid = math.isfinite(resid_c) and resid_c < residual * (1.0 - 1e-4)
             if ok_merit or ok_resid:
                 gamma, prob, umom, log_z, merit, residual = (
                     cand, prob_c, umom_c, log_z_c, merit_c, resid_c)
@@ -278,7 +320,7 @@ def _dual_newton(mu, nodes, weights, gamma0, m0, s0):
         if not accepted:
             break           # nothing moved: a retry would repeat this search exactly
         if residual < best[2]:
-            best = (gamma.copy(), log_z, residual)
+            best = (gamma, log_z, residual)
 
     gamma, log_z, residual = best
     lam = np.empty(n + 1)
@@ -359,9 +401,10 @@ def fit_maxent(moments, start=None):
         # evaluating through the standardized coefficients for stability
         # (Horner's rule, as MaxEntDensity.pdf does)
         u2, w2 = _panel_nodes(_quad_rule(center, width, 2 * nodes_count, lo=lo))
-        z2 = (u2 - m0) / s0
-        phi = w2 * np.exp(-(log_z + polyval(z2, np.concatenate(([0.0], gamma)))))
-        mom2 = phi @ np.cumprod(_columns(u2, n), axis=1)
+        phi = _log_pdf((u2 - m0) / s0, gamma, log_z)
+        np.exp(phi, out=phi)
+        phi *= w2
+        mom2 = phi @ _powers(u2, n)
         err2 = np.max(np.abs(mom2 - mu) / np.maximum(np.abs(mu), 1e-300))
         check = max(err2, abs(phi.sum() - 1.0))
         if check < _VERIFY_TOL:
@@ -598,8 +641,7 @@ def price_tangents(params, jump, state, spec, density):
     x, w = _panel_nodes(_split_panels(density.panels, (strike,)))
     prob = w * density.pdf(x)
     prob /= prob.sum()
-    powers = np.cumprod(_columns((x / density.scale - density.z_center) / density.z_scale, n),
-                        axis=1)
+    powers = _powers((x / density.scale - density.z_center) / density.z_scale, n)
     dev = powers - prob @ powers
     cov = (prob * option_payoff(spec.kind, strike)(x)) @ dev
     d_z = np.linalg.solve(dev.T @ (prob[:, None] * dev), cov)

@@ -30,7 +30,8 @@ from scipy.linalg import expm
 
 from ._blas import single_thread
 from .errors import DomainError, InvalidParameterError, NumericError
-from .generator import build_basis, build_generator, eval_basis, generator_directions
+from .generator import (build_basis, build_block, build_generator, eval_basis,
+                        generator_directions)
 from .model import require_admissible
 
 
@@ -228,20 +229,21 @@ def _power_moments(params, jump, state, dt, n, window=None):
     C_T1 - C_T0 accrues like C restarted from 0 at T0, E_T0[P^k] is the c^k
     row, which leads the block, carried back over the window and restricted
     to the c-free monomials.  Either row is carried back over dt on the
-    c-free sub-block, so ``state.c`` does not enter.
+    c-free sub-block and dotted with the state's c-free monomials, so
+    ``state.c`` does not enter.
 
     The generator never mixes degrees, so each E_t[P^k] needs block k alone
-    and is the same number whatever n is asked for.  So ``_record`` extends a
-    line (dt, window)'s vector by degree and reads a smaller n's prefix; its
-    lines share the c-free exponentials by (degree, dt) and the carried-back
-    window rows by (degree, window), bit for bit.  A new model, jump or state,
+    (:func:`build_block`) and is the same number whatever n is asked for.  So
+    ``_record`` extends a line (dt, window)'s vector by degree and reads a
+    smaller n's prefix; its lines share the c-free exponentials by (degree,
+    dt) and the carried-back window rows by (degree, window), bit for bit, and
+    a degree's block is built only to make one of them.  A new model, jump or state (its c aside),
     or a return to a line it has left, starts a new record, so a repeated pass
     over a model's lines makes the calls of the first.
     """
     global _record
     key = (params.r, params.a, params.sigma, params.d, params.b.tobytes(),
-           params.beta.tobytes(), params.nu.tobytes(), jump,
-           state.c, state.x, state.y.tobytes())
+           params.beta.tobytes(), params.nu.tobytes(), jump, state.x, state.y.tobytes())
     line = (dt, window)
     with _RECORD_LOCK:
         record = _record
@@ -250,22 +252,24 @@ def _power_moments(params, jump, state, dt, n, window=None):
         record.last = line
         raw, held = record.moments.get(line, np.empty(0)), record.held
         if raw.size < n:
+            require_admissible(params)
             basis = build_basis(params.d, n)
-            mat = build_generator(params, jump, basis)
-            h = eval_basis(basis, state)
             more = np.empty(n - raw.size)
             for k in range(raw.size + 1, n + 1):
                 s, f = basis.blocks[k], basis.c_free[k]
-                if window is None:
-                    row = np.eye(f.stop - f.start)[0]
-                else:
-                    if ("row", k, window) not in held:
-                        carried = expm_apply(mat[s, s].T, window, np.eye(s.stop - s.start)[0])
-                        held["row", k, window] = carried[f.start - s.start:]
-                    row = held["row", k, window]
-                if ("c-free", k, dt) not in held:
-                    held["c-free", k, dt] = _exponential(mat[f, f].T, dt)
-                more[k - raw.size - 1] = _apply(held["c-free", k, dt], row) @ h[f]
+                row_key, free_key = ("row", k, window), ("c-free", k, dt)
+                new_row = window is not None and row_key not in held
+                if new_row or free_key not in held:
+                    block = build_block(params, jump, basis, k)
+                    free = f.start - s.start        # where the c-free monomials start
+                    if new_row:
+                        carried = expm_apply(block.T, window, np.eye(s.stop - s.start)[0])
+                        held[row_key] = carried[free:]
+                    if free_key not in held:
+                        held[free_key] = _exponential(block[free:, free:].T, dt)
+                row = np.eye(f.stop - f.start)[0] if window is None else held[row_key]
+                h = basis.eval(state.c, state.x, state.y, f)
+                more[k - raw.size - 1] = _apply(held[free_key], row) @ h
             raw = record.moments[line] = np.concatenate((raw, more))
     return raw[:n].copy()
 

@@ -8,6 +8,7 @@ from polydiv.errors import InadmissibleParamsError, InvalidParameterError
 from polydiv.generator import (
     apply_generator_pointwise,
     build_basis,
+    build_block,
     build_generator,
     eval_basis,
 )
@@ -150,6 +151,25 @@ def test_generator_bits_are_pinned(d):
     digests = tuple(hashlib.sha256(build_generator(pinned_params(d), jump, basis).tobytes())
                     .hexdigest() for jump in PINNED_JUMPS)
     assert digests == PINNED_DIGESTS[d]
+
+
+TWO_POINT_JUMP = JumpSpec(lam=0.2, dist=TwoPoint(z1=-0.4, p=0.35, z2=0.5))
+
+
+@pytest.mark.parametrize("jump", [None, TWO_POINT_JUMP], ids=["no_jump", "two_point"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_a_block_is_the_generators_block_bit_for_bit(d, jump):
+    basis = build_basis(d, 6)
+    gen = build_generator(pinned_params(d), jump, basis)
+    for k, s in enumerate(basis.blocks):
+        block = build_block(pinned_params(d), jump, basis, k)
+        assert block.shape == (s.stop - s.start,) * 2
+        assert block.tobytes() == gen[s, s].tobytes()
+
+
+def test_a_block_needs_the_basis_dimension():
+    with pytest.raises(InvalidParameterError, match="parameters have d=1"):
+        build_block(pinned_params(1), None, build_basis(2, 3), 2)
 
 
 class TestPointwiseOracle:

@@ -115,6 +115,28 @@ class TestFit:
         assert "did not converge" not in message
 
 
+class TestInPlaceArithmetic:
+    """The in-place power tables and Horner's rule keep numpy's bits."""
+
+    def test_power_table_is_cumprod_bit_for_bit(self):
+        v = np.random.default_rng(7).normal(size=257)
+        for n in (1, 2, 6, 12):
+            reference = np.cumprod(np.broadcast_to(v[:, None], (v.size, n)), axis=1)
+            np.testing.assert_array_equal(maxent._powers(v, n), reference)
+
+    def test_log_pdf_is_polyval_bit_for_bit(self):
+        from numpy.polynomial.polynomial import polyval
+
+        rng = np.random.default_rng(8)
+        z = rng.normal(scale=3.0, size=301)
+        for n in (1, 3, 6):
+            gamma, log_norm = rng.normal(size=n), rng.normal()
+            reference = -(log_norm + polyval(z, np.concatenate(([0.0], gamma))))
+            np.testing.assert_array_equal(maxent._log_pdf(z, gamma, log_norm), reference)
+            scalar = maxent._log_pdf(np.float64(z[0]), gamma, log_norm)
+            assert float(scalar) == reference[0]
+
+
 class TestIntegratePayoff:
     def test_normalization(self):
         d = fit_maxent([1.0, 2.0])
@@ -503,7 +525,7 @@ class TestRepeatedPrices:
         st = random_state_in_E(rng, p)
         specs = _strike_grid(p, TWO_POINT_JUMP, st, underlying, 3.0)
         builds, fits, failed = [], [], []
-        build, fit = polydiv.moments.build_generator, maxent.fit_maxent
+        build, fit = polydiv.moments.build_block, maxent.fit_maxent
 
         def counted_build(*args, **kwargs):
             builds.append(args)
@@ -518,12 +540,13 @@ class TestRepeatedPrices:
                 raise
 
         _clear_memo()
-        monkeypatch.setattr(polydiv.moments, "build_generator", counted_build)
+        monkeypatch.setattr(polydiv.moments, "build_block", counted_build)
         monkeypatch.setattr(maxent, "fit_maxent", counted_fit)
         for spec in specs:
             for n in range(2, 7):
                 _price(p, TWO_POINT_JUMP, st, spec, n)
-        assert len(builds) == 5
+        # one degree block per degree the line adds: blocks 1 and 2 at N = 2, then one a count
+        assert [args[-1] for args in builds] == [1, 2, 3, 4, 5, 6]
         assert len(fits) == len(set(fits)) == 5
         assert len(failed) == (2 if underlying == "stock" else 0)
 
@@ -593,8 +616,8 @@ class TestRepeatedPrices:
 
         st, moved = reference_state(), State(c=0.0, x=1.1, y=[0.04])
         surface(st)
-        monkeypatch.setattr(polydiv.moments, "build_generator",
-                            counted("builds", polydiv.moments.build_generator))
+        monkeypatch.setattr(polydiv.moments, "build_block",
+                            counted("builds", polydiv.moments.build_block))
         monkeypatch.setattr(polydiv.moments, "expm", counted("exponentials", polydiv.moments.expm))
         monkeypatch.setattr(maxent, "fit_maxent", counted("fits", maxent.fit_maxent))
         runs = []

@@ -340,6 +340,18 @@ class TestStockPriceMoments:
         m = stock_price_moments(params_a02, None, state0, 0.0, 0.25, 6)
         assert m[1] - m[0] ** 2 > 0
 
+    def test_the_record_ignores_the_accrued_dividends(self, params_a02, monkeypatch):
+        # the power moments do not depend on c: a state that differs only in
+        # c reads the moments the record holds and builds nothing
+        moments._record = moments._Record(None)
+        builds, build = [], moments.build_block
+        monkeypatch.setattr(moments, "build_block", lambda *a: builds.append(a) or build(*a))
+        first = stock_price_moments(params_a02, None, State(0.0, 1.0, [0.04]), 0.0, 2.0, 4)
+        assert len(builds) == 4
+        second = stock_price_moments(params_a02, None, State(0.5, 1.0, [0.04]), 0.0, 2.0, 4)
+        assert len(builds) == 4
+        np.testing.assert_array_equal(second, first)
+
 
 TWO_POINT_JUMP = JumpSpec(lam=1.3, dist=TwoPoint(-0.5, 0.4, 0.6))
 
@@ -425,6 +437,7 @@ NAN, INF = float("nan"), float("inf")
 def test_non_finite_times_rejected_before_any_build(params_a02, state0, monkeypatch, call, name):
     builds = []
     monkeypatch.setattr(moments, "build_generator", lambda *a: builds.append(a))
+    monkeypatch.setattr(moments, "build_block", lambda *a: builds.append(a))
     with pytest.raises(InvalidParameterError, match=rf"finite {name}\b"):
         call(params_a02, state0)
     assert builds == []
