@@ -269,20 +269,18 @@ def build_generator(params, jump, basis):
 
 
 @lru_cache(maxsize=None)
-def _block_template(d, n, k):
-    """The entries of ``_generator_template(d, n)`` in degree block k, in
-    template order, with flat indices into the block."""
+def _block_entries(d, n, k):
+    """Degree block k's entries of ``_generator_template(d, n)``: their
+    slice of it (the rows come in basis order, so a block's entries are
+    contiguous) and their flat indices into the block."""
     tpl = _generator_template(d, n)
     basis = build_basis(d, n)
     s = basis.blocks[k]
-    width = s.stop - s.start
-    row, col = np.divmod(tpl.flat, basis.size)
-    inside = (row >= s.start) & (row < s.stop)    # and so col: G never mixes degrees
-    block = _Template((row[inside] - s.start) * width + col[inside] - s.start,
-                      tpl.term[inside], tpl.mult[inside])
-    for arr in block:
-        arr.flags.writeable = False
-    return block
+    lo, hi = np.searchsorted(tpl.flat // basis.size, (s.start, s.stop))
+    row, col = np.divmod(tpl.flat[lo:hi], basis.size)   # col in block k too: G never mixes degrees
+    local = (row - s.start) * (s.stop - s.start) + col - s.start
+    local.flags.writeable = False
+    return slice(lo, hi), local
 
 
 def build_block(params, jump, basis, k):
@@ -297,10 +295,11 @@ def build_block(params, jump, basis, k):
     """
     if params.d != basis.d:
         raise InvalidParameterError(f"parameters have d={params.d}, the basis d={basis.d}")
-    tpl = _block_template(basis.d, basis.n, k)
-    weights = tpl.mult * _term_factors(params, jump, basis.n)[tpl.term]
+    entries, local = _block_entries(basis.d, basis.n, k)
+    tpl = _generator_template(basis.d, basis.n)
+    weights = tpl.mult[entries] * _term_factors(params, jump, basis.n)[tpl.term[entries]]
     width = basis.blocks[k].stop - basis.blocks[k].start
-    return np.bincount(tpl.flat, weights=weights, minlength=width * width).reshape(width, width)
+    return np.bincount(local, weights=weights, minlength=width * width).reshape(width, width)
 
 
 def generator_directions(params, basis):

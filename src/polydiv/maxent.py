@@ -131,18 +131,13 @@ def _gauss_legendre01(n):
 
 
 def _panel_nodes(panels):
-    """Nodes and weights of the composite Gauss-Legendre rule on ``panels``:
-    a + (b - a) u and (b - a) w on each, written in place."""
-    size = sum(count for _, _, count in panels)
-    nodes, weights = np.empty(size), np.empty(size)
-    stop = 0
+    """Nodes and weights of the composite Gauss-Legendre rule on ``panels``."""
+    nodes, weights = [], []
     for a, b, count in panels:
         u, w = _gauss_legendre01(count)
-        start, stop = stop, stop + count
-        np.multiply(u, b - a, out=nodes[start:stop])
-        nodes[start:stop] += a
-        np.multiply(w, b - a, out=weights[start:stop])
-    return nodes, weights
+        nodes.append(a + (b - a) * u)
+        weights.append((b - a) * w)
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def _quad_rule(center, width, n, lo=0.0):
@@ -234,16 +229,17 @@ def _dual_newton(mu, nodes, weights, gamma0, m0, s0):
     whole point.  Residuals are always measured on the raw moments ``mu``.
 
     Most of the time goes to evaluating line-search candidates, about half of
-    which are rejected, and each evaluation is a few short numpy calls on the
-    nodes.  So a candidate is evaluated in place on the one fresh array its
+    which are rejected, and an evaluation is a few short numpy calls on the
+    nodes.  So a candidate is evaluated in place, on the one fresh array its
     exponent makes: ``shift - expo`` (exactly ``-(expo - shift)``), then the
-    exponential, the weights and the normalization.  Its residual is a ``max``
-    over the N Python floats of the same difference, absolute value and
-    quotient, and its scalars are tested with ``math.isfinite``.  Every float
-    the iteration compares or returns comes from the same IEEE operations, in
-    the same order, as the plain array expressions would make it: a NaN
-    candidate (every moment NaN, as the normalization is) is still rejected,
-    and the results are the same bits.
+    exponential, the weights and the normalization.  Its residual is a
+    ``max`` over the N Python floats of the same difference, absolute value
+    and quotient, and its scalars are tested with ``math.isfinite``.  The bit
+    rule: every float the iteration compares or returns is the one the array
+    expressions ``weights * exp(-(expo - shift)) / total`` and
+    ``max(|umom - mu| / max(|mu|, 1e-300))`` give, from the same IEEE
+    operations in the same order.  A non-finite candidate normalizes to NaN
+    everywhere, so its residual and merit are NaN and it is rejected.
 
     Returns (lam_scaled including lam_0, gamma, log_z, iterations, residual).
     """
