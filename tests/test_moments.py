@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath
@@ -398,6 +399,82 @@ class TestAgainstMpmath:
             got = stock_price_moments(params, TWO_POINT_JUMP, state, 0.0, T, 6)
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
 
+
+
+def _tangent_model(d):
+    """The a = 0.2 reference set at d = 1; a two-factor model at d = 2."""
+    if d == 1:
+        return reference_params(0.2), State(0.0, 1.0, [0.0371])
+    return (ModelParams(r=0.01, a=0.2, sigma=0.28, d=2, b=[0.008, 0.01],
+                        beta=[[-0.5, 0.03], [0.01, -0.45]], nu=[0.02, 0.03]),
+            State(0.0, 1.0, [0.02, 0.015]))
+
+
+# (dt, window) of a stock line at T = 1.5, a window starting now and one
+# starting at T0 = 0.5, both a year long
+TANGENT_LINES = ((1.5, None), (0.0, 1.0), (0.5, 1.0))
+
+# sha256 of _power_moment_tangents(...).tobytes() at n = 6, one digest per
+# line of TANGENT_LINES, recorded while the tangents sliced their blocks
+# out of the whole generator and its whole derivative matrices
+PINNED_TANGENT_DIGESTS = {
+    (1, "no_jump"): ("29b3c94dd7c8e80dc25e64f6d6bc6147d54e8183be103044be11f7403d83fc20",
+                     "f561fe5724e52a9aa5e6c034b9db128b68e053c854d2fe5afc062b3a19622192",
+                     "9cdfbcd0edb49b9498e220ae032dbdbe9abdeb58890adafc918e973fb90d0d7b"),
+    (1, "two_point"): ("bf455a8c5dd32174378bd944637d7a861713c05070eb506284e56ca73a86c8e3",
+                       "2cb7a46ceac82b311f39b357d93f46b969f80cb91e4c9a54c464f941838baa73",
+                       "95883b06aebfc0e521d8324bb43461f12607c3fc656306206234883d800fb58b"),
+    (2, "no_jump"): ("93b837ab741849a8410cab466cece60b2d9f668e1926d0730b24d7a91e5609f6",
+                     "ffa0aa7f38f943fc654867857effcdc6e2d5df2cc2bf5fd15b4e4fa9a887eb64",
+                     "314138364a32da2a48ef31a1bdf833c432dc63c72f004caa92679311088196e2"),
+    (2, "two_point"): ("41c268865155e19ee7c1c83ad10d790dd87ab47b6445d4065e204d8ba91ed228",
+                       "265acfa88099b4f5a064d037bb5f9e3ed05db875cf36d7007b6067325ae287bd",
+                       "449d2f51ef64e7c59cfbc7fee717f58dc46a6d9d1e54ae9d4935a571fbb4d3fa"),
+}
+
+
+def _bumped(params, state, i, h):
+    """`params` and `state` with the i-th tangent coordinate (b_k, beta_kl
+    row-major, sigma, nu_k, then y_k) moved by h."""
+    d = params.d
+    theta = np.concatenate((params.b, params.beta.ravel(), [params.sigma], params.nu, state.y))
+    theta[i] += h
+    b, beta, (sigma,), nu, y = np.split(theta, np.cumsum([d, d * d, 1, d]))
+    return (ModelParams(r=params.r, a=params.a, sigma=sigma, d=d, b=b, beta=beta.reshape(d, d),
+                        nu=nu), State(state.c, state.x, y))
+
+
+class TestPowerMomentTangents:
+    @pytest.mark.parametrize("jump", [None, TWO_POINT_JUMP], ids=["no_jump", "two_point"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_tangent_bits_are_pinned(self, d, jump):
+        params, state = _tangent_model(d)
+        digests = tuple(hashlib.sha256(moments._power_moment_tangents(
+            params, jump, state, dt, 6, window).tobytes()).hexdigest()
+            for dt, window in TANGENT_LINES)
+        assert digests == PINNED_TANGENT_DIGESTS[d, "no_jump" if jump is None else "two_point"]
+
+    @pytest.mark.parametrize("dt,window", TANGENT_LINES, ids=["stock", "window_now", "window_later"])
+    def test_jump_tangents_match_central_differences(self, dt, window):
+        # d = 2 with the two-point jump, against the public moment functions.
+        # Per unit of |M_k|, a step of 1e-7 leaves central differences off by
+        # at most 4.5e-8 here; at 1e-6 the window moments' third derivative
+        # in b already costs 7.4e-7.
+        params, state = _tangent_model(2)
+
+        def moment_vector(p, s):
+            if window is None:
+                return stock_price_moments(p, TWO_POINT_JUMP, s, 0.0, dt, 6)
+            return cumulative_dividend_moments(p, TWO_POINT_JUMP, s, 0.0, dt, dt + window, 6)
+
+        tangents = moments._power_moment_tangents(params, TWO_POINT_JUMP, state, dt, 6, window)
+        assert tangents.shape == (6, 11)
+        h = 1e-7
+        central = np.array([(moment_vector(*_bumped(params, state, i, h))
+                             - moment_vector(*_bumped(params, state, i, -h))) / (2 * h)
+                            for i in range(tangents.shape[1])]).T
+        scale = np.abs(moment_vector(params, state))[:, None]
+        np.testing.assert_allclose(central / scale, tangents / scale, rtol=0, atol=1e-6)
 
 @pytest.mark.parametrize("call,name", [
     (lambda p, s: stock_price_moments(p, None, s, 0.0, 1.0, 2.5), "n_moments"),
