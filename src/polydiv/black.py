@@ -12,32 +12,41 @@ VOL_CAP = 16.0     # implied_vol gives up above this volatility
 
 
 def _require_finite(forward, strike, expiry, vol, rate):
-    # one sum, cheap enough for every call of a root search: a NaN or an
-    # infinity in any input makes it non-finite
+    # one sum: a NaN or an infinity in any input makes it non-finite
     if not math.isfinite(forward + strike + expiry + vol + rate):
         raise InvalidParameterError(f"need finite inputs, got forward {forward}, strike "
                                     f"{strike}, expiry {expiry}, vol {vol}, rate {rate}")
+    if expiry < 0:
+        raise InvalidParameterError(f"need expiry >= 0, got {expiry}")
 
 
-def _overflow(name, exponent):
-    return InvalidParameterError(f"the {name} exponent {exponent:.6g} overflows a float")
+def _exp(name, exponent):
+    """``math.exp(exponent)``; an overflow raises InvalidParameterError naming it."""
+    try:
+        return math.exp(exponent)
+    except OverflowError:
+        raise InvalidParameterError(
+            f"the {name} exponent {exponent:.6g} overflows a float") from None
+
+
+def _call(forward, strike, discount, log_moneyness, s):
+    """d1 and the discounted Black-76 call at total vol s = vol sqrt(expiry) > 0."""
+    d1 = (log_moneyness + 0.5 * s * s) / s
+    return d1, discount * (forward * ndtr(d1) - strike * ndtr(d1 - s))
 
 
 def black76_price(forward, strike, expiry, vol, rate, kind="call"):
-    """Lognormal option price on a futures/forward level."""
+    """Lognormal option price on a futures/forward level; at expiry 0 or vol
+    0 the discounted intrinsic value, and a negative expiry raises."""
     _require_finite(forward, strike, expiry, vol, rate)
     if forward <= 0 or strike <= 0:
         raise InvalidParameterError("forward and strike must be positive")
-    try:
-        discount = math.exp(-rate * expiry)
-    except OverflowError:
-        raise _overflow("discount", -rate * expiry) from None
-    if vol <= 0 or expiry <= 0:
+    discount = _exp("discount", -rate * expiry)
+    if vol <= 0 or expiry == 0:
         call = discount * max(forward - strike, 0.0)
     else:
         s = vol * math.sqrt(expiry)
-        d1 = (math.log(forward / strike) + 0.5 * s * s) / s
-        call = discount * (forward * ndtr(d1) - strike * ndtr(d1 - s))
+        call = _call(forward, strike, discount, math.log(forward / strike), s)[1]
     if kind == "call":
         return call
     if kind == "put":
@@ -58,12 +67,9 @@ def black76_derivatives(forward, strike, expiry, vol, rate, kind="call"):
     _require_finite(forward, strike, expiry, vol, rate)
     if not (forward > 0 and strike > 0 and vol > 0 and expiry > 0):
         raise InvalidParameterError("need positive forward, strike, vol and expiry")
-    try:
-        discount = math.exp(-rate * expiry)
-    except OverflowError:
-        raise _overflow("discount", -rate * expiry) from None
+    discount = _exp("discount", -rate * expiry)
     s = vol * math.sqrt(expiry)
-    d1 = (math.log(forward / strike) + 0.5 * s * s) / s
+    d1 = _call(forward, strike, discount, math.log(forward / strike), s)[0]
     itm_forward, itm_strike = ndtr(d1), ndtr(d1 - s)      # the call's; a put's are 1 less
     if kind == "put":
         itm_forward, itm_strike = itm_forward - 1.0, itm_strike - 1.0
@@ -80,10 +86,9 @@ def black_scholes_price(spot, strike, expiry, vol, rate, dividend_yield=0.0, kin
     Black-76 on the forward spot * exp((rate - dividend_yield) * expiry)."""
     if spot <= 0 or strike <= 0:
         raise InvalidParameterError("spot and strike must be positive")
-    try:
-        forward = spot * math.exp((rate - dividend_yield) * expiry)
-    except OverflowError:
-        raise _overflow("forward", (rate - dividend_yield) * expiry) from None
+    if expiry < 0:
+        raise InvalidParameterError(f"need expiry >= 0, got {expiry}")
+    forward = spot * _exp("forward", (rate - dividend_yield) * expiry)
     return black76_price(forward, strike, expiry, vol, rate, kind)
 
 
@@ -93,26 +98,23 @@ def implied_vol(price, level, strike, expiry, rate, convention="black-scholes",
 
     ``level`` is the spot (convention "black-scholes") or the forward
     (convention "black76").  Prices at or below intrinsic return 0;
-    prices outside the no-arbitrage band raise :class:`DomainError`.
+    prices outside the no-arbitrage band raise :class:`DomainError`, and so
+    does a price above intrinsic at expiry 0.  A negative expiry raises.
     """
     if not math.isfinite(price + level + strike + expiry + rate + dividend_yield):
         raise InvalidParameterError(
             f"need finite inputs, got price {price}, level {level}, strike {strike}, "
             f"expiry {expiry}, rate {rate}, dividend yield {dividend_yield}")
+    if expiry < 0:
+        raise InvalidParameterError(f"need expiry >= 0, got {expiry}")
     if convention == "black-scholes":
-        try:
-            forward = level * math.exp((rate - dividend_yield) * expiry)
-        except OverflowError:
-            raise _overflow("forward", (rate - dividend_yield) * expiry) from None
+        forward = level * _exp("forward", (rate - dividend_yield) * expiry)
     elif convention == "black76":
         forward = level
     else:
         raise InvalidParameterError(f"unknown convention {convention!r}")
 
-    try:
-        discount = math.exp(-rate * expiry)
-    except OverflowError:
-        raise _overflow("discount", -rate * expiry) from None
+    discount = _exp("discount", -rate * expiry)
     if kind == "call":
         intrinsic = discount * max(forward - strike, 0.0)
         upper = discount * forward
@@ -129,6 +131,9 @@ def implied_vol(price, level, strike, expiry, rate, convention="black-scholes",
         )
     if price <= intrinsic + slack:
         return 0.0
+    if expiry == 0:
+        raise DomainError(f"price {price:.6g} lies above intrinsic {intrinsic:.6g}, but a "
+                          "price at expiry has no time value")
 
     # imported on first use: scipy.optimize is about a third of a cold start
     from scipy.optimize import brentq
@@ -139,18 +144,11 @@ def implied_vol(price, level, strike, expiry, rate, convention="black-scholes",
     _require_finite(forward, strike, expiry, hi, rate)
     if forward <= 0 or strike <= 0:
         raise InvalidParameterError("forward and strike must be positive")
-    if expiry > 0:
-        root_t, log_moneyness = math.sqrt(expiry), math.log(forward / strike)
-        parity = discount * (forward - strike) if kind == "put" else 0.0   # call - 0.0 is call
+    root_t, log_moneyness = math.sqrt(expiry), math.log(forward / strike)
+    parity = discount * (forward - strike) if kind == "put" else 0.0   # call - 0.0 is call
 
-        def price_at(v):
-            s = v * root_t
-            d1 = (log_moneyness + 0.5 * s * s) / s
-            call = discount * (forward * ndtr(d1) - strike * ndtr(d1 - s))
-            return call - parity
-    else:
-        def price_at(v):
-            return black76_price(forward, strike, expiry, v, rate, kind)
+    def price_at(v):
+        return _call(forward, strike, discount, log_moneyness, v * root_t)[1] - parity
 
     while price_at(hi) < price:
         hi *= 2.0

@@ -22,11 +22,11 @@ block is a closed sub-block.
 On a fixed basis the sparsity pattern of G is constant.  Each entry is a
 pure number times one parameter factor: 1, r, b_k, beta_kl, sigma^2/a^q,
 nu_k^2/a^q or lam E[Z^m]/a^q.  The pattern is therefore computed once per
-basis, as a template of (flat index, term id, multiplier) triples, and
-:func:`build_generator` only evaluates the short vector of term factors
-and sums the weighted entries with one ``np.bincount``.  A caller that
-needs one degree block builds it alone (:func:`build_block`) from the
-template's entries in that block.
+basis, one template of (flat index, term id, multiplier) triples per degree
+block.  A block is its template weighted by the short vector of term factors
+and summed by one ``np.bincount`` (:func:`build_block`); the same call can
+weight it by the factors' theta-derivatives too (:func:`block_directions`).
+:func:`build_generator` places the blocks on the diagonal of the whole G.
 """
 
 import math
@@ -142,11 +142,14 @@ def _add_tuple(alpha, k, delta):
     return tuple(lst)
 
 
-def _term_factors(params, jump, n):
-    """Parameter factor of every template term: 1, r, b_k, beta_kl
+def _term_factors(params, jump, basis):
+    """Parameter factor of every template term on `basis`: 1, r, b_k, beta_kl
     (row-major), sigma^2/a^q (q = 0..2), nu_k^2/a^q (k-major, q = 0..1),
     then lam E[Z^m]/a^q at m * (n + 1) + q (m, q = 0..n; zero for m < 2 and
     without jumps)."""
+    if params.d != basis.d:
+        raise InvalidParameterError(f"parameters have d={params.d}, the basis d={basis.d}")
+    n = basis.n
     inv_a = params.a ** -np.arange(max(n, 2) + 1.0)
     lam_moments = np.zeros(n + 1)
     if jump is not None and jump.active:
@@ -168,8 +171,9 @@ def _term_starts(d):
 
 
 class _Template(NamedTuple):
-    """Generator entries on one basis: flat index ``row * size + col``, term
-    id (an index into the `_term_factors` vector) and pure-number multiplier."""
+    """Generator entries in one degree block of width w: flat index ``row * w
+    + col`` into the block, term id (an index into the `_term_factors`
+    vector) and pure-number multiplier."""
 
     flat: np.ndarray
     term: np.ndarray
@@ -178,26 +182,24 @@ class _Template(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _generator_template(d, n):
-    """The generator's sparsity pattern on ``build_basis(d, n)``.
+    """The generator's sparsity pattern on ``build_basis(d, n)``, one
+    `_Template` per degree block.
 
-    Independent of the model inputs; raises AssertionError if an image
-    monomial escapes the basis (polynomial closure).
+    Independent of the model inputs; asserts that each image monomial has
+    the degree of its source.
     """
     basis = build_basis(d, n)
     one, rate = 0, 1
     t_b, t_beta, t_sigma, t_nu, t_jump = _term_starts(d)
-    entries = []
+    entries = [[] for _ in basis.blocks]
     for row, mi in enumerate(basis.members):
         i, j, alpha = mi
+        s = basis.blocks[mi.degree]
 
         def add(ii, jj, aa, term, mult):
-            try:
-                col = basis.position(ii, jj, aa)
-            except KeyError:  # pragma: no cover - closure violation is a bug
-                raise AssertionError(
-                    f"generator image {(ii, jj, aa)} of {mi} escapes the degree-{n} basis"
-                ) from None
-            entries.append((row * basis.size + col, term, mult))
+            assert ii + jj + sum(aa) == mi.degree, f"generator image {(ii, jj, aa)} of {mi}"
+            col = basis.position(ii, jj, aa) - s.start
+            entries[mi.degree].append(((row - s.start) * (s.stop - s.start) + col, term, mult))
 
         # dividend accrual: D * df/dc
         if i:
@@ -243,11 +245,29 @@ def _generator_template(d, n):
                 aa = tuple(alpha[k] + gamma[k] for k in range(d))
                 add(i, j - m + dj, aa, t_jump + m * (n + 1) + q, math.comb(j, m) * cf)
 
-    flat, term, mult = zip(*entries)
-    tpl = _Template(np.array(flat), np.array(term), np.array(mult, dtype=float))
-    for arr in tpl:
-        arr.flags.writeable = False
-    return tpl
+    blocks = []
+    for block in entries:
+        flat, term, mult = list(zip(*block)) or ((), (), ())   # the constant's block is empty
+        tpl = _Template(np.array(flat, dtype=np.intp), np.array(term, dtype=np.intp),
+                        np.array(mult, dtype=float))
+        for arr in tpl:
+            arr.flags.writeable = False
+        blocks.append(tpl)
+    return tuple(blocks)
+
+
+def _weigh(basis, k, rows):
+    """Degree block k of the template on `basis` weighted by each row of term
+    factors (a 2-d array indexed like `_term_factors`), as one (w, w) matrix
+    per row, summed by one ``np.bincount``: each entry sums its weights in
+    template order, whichever the rows."""
+    tpl = _generator_template(basis.d, basis.n)[k]
+    width = basis.blocks[k].stop - basis.blocks[k].start
+    area = width * width
+    weights = rows.take(tpl.term, axis=1)
+    weights *= tpl.mult
+    index = tpl.flat + np.arange(0, len(rows) * area, area)[:, None]
+    return np.bincount(index.ravel(), weights.ravel(), len(rows) * area).reshape(-1, width, width)
 
 
 def build_generator(params, jump, basis):
@@ -256,71 +276,48 @@ def build_generator(params, jump, basis):
     monomial, evaluated at the state.
 
     Raises :class:`InadmissibleParamsError` if the inward-drift conditions
-    fail.  The matrix is the basis's cached template weighted by the
-    parameter factors; building the template asserts polynomial closure.
+    fail.  The matrix is block-diagonal, its blocks those of
+    :func:`build_block`.
     """
-    if params.d != basis.d:
-        raise InvalidParameterError(f"parameters have d={params.d}, the basis d={basis.d}")
+    factors = _term_factors(params, jump, basis)[None]
     require_admissible(params)
-    tpl = _generator_template(basis.d, basis.n)
-    weights = tpl.mult * _term_factors(params, jump, basis.n)[tpl.term]
-    size = basis.size
-    return np.bincount(tpl.flat, weights=weights, minlength=size * size).reshape(size, size)
-
-
-@lru_cache(maxsize=None)
-def _block_entries(d, n, k):
-    """Degree block k's entries of ``_generator_template(d, n)``: their
-    slice of it (the rows come in basis order, so a block's entries are
-    contiguous) and their flat indices into the block."""
-    tpl = _generator_template(d, n)
-    basis = build_basis(d, n)
-    s = basis.blocks[k]
-    lo, hi = np.searchsorted(tpl.flat // basis.size, (s.start, s.stop))
-    row, col = np.divmod(tpl.flat[lo:hi], basis.size)   # col in block k too: G never mixes degrees
-    local = (row - s.start) * (s.stop - s.start) + col - s.start
-    local.flags.writeable = False
-    return slice(lo, hi), local
+    out = np.zeros((basis.size, basis.size))
+    for k, s in enumerate(basis.blocks):
+        out[s, s] = _weigh(basis, k, factors)[0]
+    return out
 
 
 def build_block(params, jump, basis, k):
     """Degree block k of the generator on `basis`,
-    ``build_generator(params, jump, basis)[s, s]`` for ``s = basis.blocks[k]``,
-    bit for bit: the same template entries, weighted alike and summed in the
-    same order.
+    ``build_generator(params, jump, basis)[s, s]`` for ``s = basis.blocks[k]``.
 
     Unlike :func:`build_generator` it does not check admissibility; a
     caller building several blocks checks once, with
     :func:`polydiv.model.require_admissible`.
     """
-    if params.d != basis.d:
-        raise InvalidParameterError(f"parameters have d={params.d}, the basis d={basis.d}")
-    entries, local = _block_entries(basis.d, basis.n, k)
-    tpl = _generator_template(basis.d, basis.n)
-    weights = tpl.mult[entries] * _term_factors(params, jump, basis.n)[tpl.term[entries]]
-    width = basis.blocks[k].stop - basis.blocks[k].start
-    return np.bincount(local, weights=weights, minlength=width * width).reshape(width, width)
+    return _weigh(basis, k, _term_factors(params, jump, basis)[None])[0]
 
 
-def generator_directions(params, basis):
-    """The derivatives of the generator on `basis` in theta = b_1..b_d, beta_kl
-    (row-major), sigma, nu_1..nu_d, one matrix each: the template weighted
-    by the derivative of each term factor, 2 sigma/a^q and 2 nu_k/a^q in
-    the diffusion terms and 1 in the drift terms.  The jump terms do not
-    depend on theta."""
-    d, n = basis.d, basis.n
-    t_b, t_beta, t_sigma, t_nu, t_jump = _term_starts(d)
+def block_directions(params, jump, basis, degrees):
+    """For each degree k of `degrees`, block k (:func:`build_block`) and a
+    stack of its derivatives in theta = b_1..b_d, beta_kl (row-major), sigma,
+    nu_1..nu_d, in that order: the template weighted by each term factor's
+    derivative, 2 sigma/a^q and 2 nu_l/a^q in the diffusion terms and 1 in
+    the drift terms.  The jump terms do not depend on theta."""
+    d = basis.d
+    t_b, _, t_sigma, t_nu, _ = _term_starts(d)
     inv_a = params.a ** -np.arange(3.0)
-    slope = np.zeros((2 * d + d * d + 1, t_jump + (n + 1) ** 2))
+    factors = _term_factors(params, jump, basis)
+    rows = np.zeros((2 + 2 * d + d * d, factors.size))
+    rows[0] = factors
     drift = np.arange(d + d * d)
-    slope[drift, t_b + drift] = 1.0                  # the b and beta groups are adjacent
-    slope[d + d * d, t_sigma:t_nu] = 2.0 * params.sigma * inv_a
-    for k in range(d):
-        slope[d + d * d + 1 + k, t_nu + 2 * k:t_nu + 2 * k + 2] = 2.0 * params.nu[k] * inv_a[:2]
-    tpl = _generator_template(d, n)
-    size = basis.size
-    return np.array([np.bincount(tpl.flat, weights=tpl.mult * row[tpl.term],
-                                 minlength=size * size).reshape(size, size) for row in slope])
+    rows[1 + drift, t_b + drift] = 1.0                 # the b and beta groups are adjacent
+    rows[1 + d + d * d, t_sigma:t_nu] = 2.0 * params.sigma * inv_a
+    for l in range(d):
+        rows[2 + d + d * d + l, t_nu + 2 * l:t_nu + 2 * l + 2] = 2.0 * params.nu[l] * inv_a[:2]
+    for k in degrees:
+        stack = _weigh(basis, k, rows)
+        yield stack[0], stack[1:]
 
 
 def eval_basis(basis, state):

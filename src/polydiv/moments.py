@@ -30,8 +30,7 @@ from scipy.linalg import expm
 
 from ._blas import single_thread
 from .errors import DomainError, InvalidParameterError, NumericError
-from .generator import (build_basis, build_block, build_generator, eval_basis,
-                        generator_directions)
+from .generator import block_directions, build_basis, build_block, build_generator, eval_basis
 from .model import require_admissible
 
 
@@ -293,7 +292,7 @@ def _van_loan(a, tau, v, h):
 def _power_moment_tangents(params, jump, state, dt, n, window=None):
     """Derivatives of :func:`_power_moments`' E_t[P^k], k = 1..n, as an
     (n, p + d) array: in theta = b_k, beta_kl, sigma, nu_k (the order of
-    :func:`generator_directions`), then in the factor levels y_k.
+    :func:`block_directions`), then in the factor levels y_k.
 
     Each moment is a row v carried back over tau by B' (B a degree block or
     its c-free sub-block) and dotted with h, so its derivative along dB is
@@ -301,9 +300,8 @@ def _power_moment_tangents(params, jump, state, dt, n, window=None):
     twice: over the window on the full block, then over dt on the c-free
     sub-block.  y enters through h alone.
     """
+    require_admissible(params)
     basis = build_basis(params.d, n)
-    mat = build_generator(params, jump, basis)
-    dirs = generator_directions(params, basis)
     h = eval_basis(basis, state)
     point = np.concatenate(([state.c, state.x], state.y))
     dh = []
@@ -312,22 +310,21 @@ def _power_moment_tangents(params, jump, state, dt, n, window=None):
         lowered[:, 2 + k] = np.maximum(lowered[:, 2 + k] - 1, 0)
         dh.append(basis.exponents[:, 2 + k] * np.prod(point ** lowered, axis=1))
     dh = np.array(dh)
-    out = np.empty((n, len(dirs) + params.d))
-    for k in range(1, n + 1):
-        s, f = basis.blocks[k], basis.c_free[k]
-        grad = np.zeros(len(dirs))
-        if window is None:
-            row = np.eye(f.stop - f.start)[0]
-        else:
-            carried = _exponential(mat[f, f].T, dt)
-            h_window = np.zeros(s.stop - s.start)
-            h_window[f.start - s.start:] = h[f] if carried is None else carried.T @ h[f]
-            row, x = _van_loan(mat[s, s].T, window, np.eye(s.stop - s.start)[0], h_window)
-            row = row[f.start - s.start:]
-            grad += (dirs[:, s, s] * x).sum(axis=(1, 2))
-        row, x = _van_loan(mat[f, f].T, dt, row, h[f])
-        out[k - 1] = np.concatenate((grad + (dirs[:, f, f] * x).sum(axis=(1, 2)), dh[:, f] @ row))
-    return out
+    out, degrees = [], range(1, n + 1)
+    for k, (block, dirs) in zip(degrees, block_directions(params, jump, basis, degrees)):
+        f, free = basis.c_free[k], basis.c_free[k].start - basis.blocks[k].start
+        row, grad = np.eye(len(block) - free)[0], np.zeros(len(dirs))
+        if window is not None:
+            carried = _exponential(block[free:, free:].T, dt)
+            h_window = np.zeros(len(block))
+            h_window[free:] = h[f] if carried is None else carried.T @ h[f]
+            row, x = _van_loan(block.T, window, np.eye(len(block))[0], h_window)
+            row = row[free:]
+            grad += (dirs * x).sum(axis=(1, 2))
+        row, x = _van_loan(block[free:, free:].T, dt, row, h[f])
+        grad += (dirs[:, free:, free:] * x).sum(axis=(1, 2))
+        out.append(np.concatenate((grad, dh[:, f] @ row)))
+    return np.array(out)
 
 
 @single_thread

@@ -7,6 +7,7 @@ import pytest
 from polydiv.errors import InadmissibleParamsError, InvalidParameterError
 from polydiv.generator import (
     apply_generator_pointwise,
+    block_directions,
     build_basis,
     build_block,
     build_generator,
@@ -165,6 +166,26 @@ def test_a_block_is_the_generators_block_bit_for_bit(d, jump):
         block = build_block(pinned_params(d), jump, basis, k)
         assert block.shape == (s.stop - s.start,) * 2
         assert block.tobytes() == gen[s, s].tobytes()
+
+
+@pytest.mark.parametrize("jump", [None, TWO_POINT_JUMP], ids=["no_jump", "two_point"])
+def test_block_directions_are_the_blocks_and_their_derivatives(jump):
+    # b and beta enter the block linearly and sigma, nu through their
+    # squares, so a central difference is exact up to rounding
+    params, basis, h = pinned_params(2), build_basis(2, 6), 1e-4
+    degrees = range(1, 7)
+    for k, (block, dirs) in zip(degrees, block_directions(params, jump, basis, degrees)):
+        assert block.tobytes() == build_block(params, jump, basis, k).tobytes()
+        assert dirs.shape == (2 * 2 + 2 * 2 + 1,) + block.shape
+        theta = np.concatenate((params.b, params.beta.ravel(), [params.sigma], params.nu))
+        for i, direction in enumerate(dirs):
+            def at(step):
+                t = theta.copy()
+                t[i] += step
+                moved = ModelParams(r=params.r, a=params.a, sigma=t[6], d=2, b=t[:2],
+                                    beta=t[2:6].reshape(2, 2), nu=t[7:])
+                return build_block(moved, jump, basis, k)
+            np.testing.assert_allclose(direction, (at(h) - at(-h)) / (2 * h), rtol=0, atol=1e-8)
 
 
 def test_a_block_needs_the_basis_dimension():
