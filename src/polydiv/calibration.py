@@ -19,6 +19,7 @@ residuals, defined on that box alone.
 """
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -137,6 +138,14 @@ class CalibConfig:
     def __post_init__(self):
         if not self.a > 0:
             raise InvalidParameterError(f"need a > 0, got {self.a}")
+        for name in ("r", "a", "start_b", "start_beta", "start_sigma", "start_nu", "start_d0"):
+            value = getattr(self, name)
+            if not (value is None and name == "start_d0" or math.isfinite(value)):
+                raise InvalidParameterError(f"need a finite {name}, got {value!r}")
+        for name in ("n_moments", "max_evals"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidParameterError(f"need an integer {name}, got {value!r}")
         if not 0 <= self.weight_iv < math.inf:
             raise InvalidParameterError(f"need a finite weight_iv >= 0, got {self.weight_iv}")
         if self.n_moments < 2:

@@ -299,8 +299,8 @@ def build_block(params, jump, basis, k):
 
 
 def block_directions(params, jump, basis, degrees):
-    """For each degree k of `degrees`, block k (:func:`build_block`) and a
-    stack of its derivatives in theta = b_1..b_d, beta_kl (row-major), sigma,
+    """A pair for each degree k of `degrees`: block k (:func:`build_block`) and
+    a stack of its derivatives in theta = b_1..b_d, beta_kl (row-major), sigma,
     nu_1..nu_d, in that order: the template weighted by each term factor's
     derivative, 2 sigma/a^q and 2 nu_l/a^q in the diffusion terms and 1 in
     the drift terms.  The jump terms do not depend on theta."""
@@ -315,9 +315,7 @@ def block_directions(params, jump, basis, degrees):
     rows[1 + d + d * d, t_sigma:t_nu] = 2.0 * params.sigma * inv_a
     for l in range(d):
         rows[2 + d + d * d + l, t_nu + 2 * l:t_nu + 2 * l + 2] = 2.0 * params.nu[l] * inv_a[:2]
-    for k in degrees:
-        stack = _weigh(basis, k, rows)
-        yield stack[0], stack[1:]
+    return [(stack[0], stack[1:]) for stack in (_weigh(basis, k, rows) for k in degrees)]
 
 
 def eval_basis(basis, state):

@@ -69,9 +69,11 @@ def _apply(exponential, v):
 
 
 def _check_moment_args(name, count, t, **dates):
-    """Reject a moment count that is not an integer >= 1, a non-finite time,
-    and `dates` that do not follow t and each other in keyword order."""
-    if not isinstance(count, numbers.Real) or not float(count).is_integer() or count < 1:
+    """Reject a moment count that is not an integer >= 1 (or is a bool), a
+    non-finite time, and `dates` that do not follow t and each other in
+    keyword order."""
+    if (not isinstance(count, numbers.Real) or isinstance(count, bool)
+            or not float(count).is_integer() or count < 1):
         raise InvalidParameterError(f"need an integer {name} >= 1, got {count!r}")
     times = list({"t": t, **dates}.items())
     for key, value in times:
@@ -303,13 +305,9 @@ def _power_moment_tangents(params, jump, state, dt, n, window=None):
     require_admissible(params)
     basis = build_basis(params.d, n)
     h = eval_basis(basis, state)
-    point = np.concatenate(([state.c, state.x], state.y))
-    dh = []
-    for k in range(params.d):           # d/dy_k of each monomial
-        lowered = basis.exponents.copy()
-        lowered[:, 2 + k] = np.maximum(lowered[:, 2 + k] - 1, 0)
-        dh.append(basis.exponents[:, 2 + k] * np.prod(point ** lowered, axis=1))
-    dh = np.array(dh)
+    point, exponents = np.concatenate(([state.c, state.x], state.y)), basis.exponents
+    lowered = np.maximum(exponents - np.eye(2 + params.d, dtype=int)[2:, None], 0)
+    dh = exponents.T[2:] * np.prod(point ** lowered, axis=2)   # d/dy_k of each monomial
     out, degrees = [], range(1, n + 1)
     for k, (block, dirs) in zip(degrees, block_directions(params, jump, basis, degrees)):
         f, free = basis.c_free[k], basis.c_free[k].start - basis.blocks[k].start

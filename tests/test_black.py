@@ -195,6 +195,34 @@ class TestRejectedInputs:
         with pytest.raises(InvalidParameterError, match="unknown convention 'bachelier'"):
             implied_vol(**_IV_ARGS, convention="bachelier")
 
+    # at the parent black76_price(1.0, 0.9, -1.0, 0.2, 0.05) returned 0.1051,
+    # the intrinsic value times e^(+0.05)
+    @pytest.mark.parametrize("kind", ["call", "put"])
+    def test_negative_expiry(self, kind):
+        with pytest.raises(InvalidParameterError, match="need expiry >= 0, got -1.0"):
+            black76_price(1.0, 0.9, -1.0, 0.2, 0.05, kind)
+        with pytest.raises(InvalidParameterError, match="need expiry >= 0, got -1.0"):
+            black_scholes_price(1.0, 0.9, -1.0, 0.2, 0.05, kind=kind)
+        with pytest.raises(InvalidParameterError, match="need expiry >= 0, got -1.0"):
+            black76_derivatives(1.0, 0.9, -1.0, 0.2, 0.05, kind)
+        for convention in ("black-scholes", "black76"):
+            with pytest.raises(InvalidParameterError, match="need expiry >= 0, got -1.0"):
+                implied_vol(0.12, 1.0, 0.9, -1.0, 0.05, convention, kind=kind)
+
+    def test_expiry_zero_prices_are_discounted_intrinsic(self):
+        assert black76_price(1.0, 0.9, 0.0, 0.2, 0.05) == pytest.approx(0.1, rel=1e-15)
+        assert black76_price(1.0, 0.9, 0.0, 0.2, 0.05, "put") == 0.0
+        assert black_scholes_price(1.0, 1.1, 0.0, 0.2, 0.05, kind="put") == pytest.approx(0.1)
+        assert implied_vol(0.1, 1.0, 0.9, 0.0, 0.05, "black76") == 0.0
+
+    def test_time_value_at_expiry_zero(self):
+        # at the parent the search doubled the vol up to the cap and raised
+        # "implied volatility exceeds cap 16.0"
+        with pytest.raises(DomainError, match="a price at expiry has no time value"):
+            implied_vol(0.12, 1.0, 0.9, 0.0, 0.05, "black76")
+        with pytest.raises(DomainError, match="a price at expiry has no time value"):
+            implied_vol(0.05, 1.0, 1.0, 0.0, 0.05, kind="put")
+
     # finite inputs whose discount e^(-rate expiry) or forward e^((rate - q) expiry) overflows
     @pytest.mark.parametrize("fn", [black76_price, black76_derivatives],
                              ids=["price", "derivatives"])

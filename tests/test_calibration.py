@@ -536,6 +536,29 @@ class TestCalibrate:
         with pytest.raises(InvalidParameterError, match="need a > 0"):
             CalibConfig(a=a)
 
+    # at the parent max_evals=nan passed the budget check and a calibration of
+    # the snapshot did not return within 60 s, max_evals=50.5 ran, n_moments=4.5
+    # failed only at the first pricing and r=nan raised scipy's own ValueError
+    @pytest.mark.parametrize("name,value", [
+        (name, value) for name in ("r", "a", "start_b", "start_beta", "start_sigma", "start_nu",
+                                   "start_d0")
+        for value in (math.nan, math.inf, -math.inf)
+        if name != "a" or value > 0])          # a nan or negative cap is not positive
+    def test_non_finite_number_rejected(self, name, value):
+        with pytest.raises(InvalidParameterError, match=f"need a finite {name}, got"):
+            CalibConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["n_moments", "max_evals"])
+    @pytest.mark.parametrize("value", [math.nan, 50.5, 6.0, True, "6"])
+    def test_count_that_is_not_an_integer_rejected(self, name, value):
+        with pytest.raises(InvalidParameterError, match=f"need an integer {name}, got"):
+            CalibConfig(**{name: value})
+
+    def test_integer_counts_and_a_default_d0_start_accepted(self):
+        cfg = CalibConfig(n_moments=np.int64(4), max_evals=np.int64(100), start_d0=None)
+        assert (cfg.n_moments, cfg.max_evals, cfg.start_d0) == (4, 100, None)
+        assert CalibConfig(start_d0=0.05).start_d0 == 0.05
+
     def test_fewer_than_two_moments_rejected(self):
         with pytest.raises(InvalidParameterError, match="need n_moments >= 2, got 1"):
             CalibConfig(n_moments=1)

@@ -494,6 +494,17 @@ def test_moment_arguments_rejected(params_a02, state0, call, name):
 
 
 
+# a bool is an Integral too: at the parent n=True read as one moment
+@pytest.mark.parametrize("call,name", [
+    (lambda p, s: stock_price_moments(p, None, s, 0.0, 1.0, True), "n_moments"),
+    (lambda p, s: conditional_moments(p, None, s, 0.0, 1.0, True), "n"),
+    (lambda p, s: cumulative_dividend_moments(p, None, s, 0.0, 1.0, 2.0, True), "n"),
+], ids=["stock", "conditional", "dividend"])
+def test_a_bool_count_is_rejected(params_a02, state0, call, name):
+    with pytest.raises(InvalidParameterError, match=rf"need an integer {name} >= 1, got True"):
+        call(params_a02, state0)
+
+
 NAN, INF = float("nan"), float("inf")
 
 
