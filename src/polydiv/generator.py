@@ -257,10 +257,9 @@ def _generator_template(d, n):
 
 
 def _weigh(basis, k, rows):
-    """Degree block k of the template on `basis` weighted by each row of term
-    factors (a 2-d array indexed like `_term_factors`), as one (w, w) matrix
-    per row, summed by one ``np.bincount``: each entry sums its weights in
-    template order, whichever the rows."""
+    """Block k of the template on `basis` weighted by each row of term factors
+    (indexed like `_term_factors`): a (rows, w, w) stack from one
+    ``np.bincount``, each entry summing its weights in template order."""
     tpl = _generator_template(basis.d, basis.n)[k]
     width = basis.blocks[k].stop - basis.blocks[k].start
     area = width * width

@@ -305,9 +305,13 @@ def _power_moment_tangents(params, jump, state, dt, n, window=None):
     require_admissible(params)
     basis = build_basis(params.d, n)
     h = eval_basis(basis, state)
-    point, exponents = np.concatenate(([state.c, state.x], state.y)), basis.exponents
-    lowered = np.maximum(exponents - np.eye(2 + params.d, dtype=int)[2:, None], 0)
-    dh = exponents.T[2:] * np.prod(point ** lowered, axis=2)   # d/dy_k of each monomial
+    point = np.concatenate(([state.c, state.x], state.y))
+    dh = []
+    for k in range(params.d):           # d/dy_k of each monomial
+        lowered = basis.exponents.copy()
+        lowered[:, 2 + k] = np.maximum(lowered[:, 2 + k] - 1, 0)
+        dh.append(basis.exponents[:, 2 + k] * np.prod(point ** lowered, axis=1))
+    dh = np.array(dh)
     out, degrees = [], range(1, n + 1)
     for k, (block, dirs) in zip(degrees, block_directions(params, jump, basis, degrees)):
         f, free = basis.c_free[k], basis.c_free[k].start - basis.blocks[k].start
