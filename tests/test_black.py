@@ -195,8 +195,8 @@ class TestRejectedInputs:
         with pytest.raises(InvalidParameterError, match="unknown convention 'bachelier'"):
             implied_vol(**_IV_ARGS, convention="bachelier")
 
-    # at the parent black76_price(1.0, 0.9, -1.0, 0.2, 0.05) returned 0.1051,
-    # the intrinsic value times e^(+0.05)
+    # a negative expiry would "discount" by e^(+rate |expiry|): 0.1051 for the
+    # call below, more than its intrinsic value
     @pytest.mark.parametrize("kind", ["call", "put"])
     def test_negative_expiry(self, kind):
         with pytest.raises(InvalidParameterError, match="need expiry >= 0, got -1.0"):
@@ -216,8 +216,8 @@ class TestRejectedInputs:
         assert implied_vol(0.1, 1.0, 0.9, 0.0, 0.05, "black76") == 0.0
 
     def test_time_value_at_expiry_zero(self):
-        # at the parent the search doubled the vol up to the cap and raised
-        # "implied volatility exceeds cap 16.0"
+        # no vol prices time value at expiry 0: a search would double the vol up
+        # to the cap and report that it exceeds it
         with pytest.raises(DomainError, match="a price at expiry has no time value"):
             implied_vol(0.12, 1.0, 0.9, 0.0, 0.05, "black76")
         with pytest.raises(DomainError, match="a price at expiry has no time value"):

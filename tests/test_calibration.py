@@ -536,9 +536,9 @@ class TestCalibrate:
         with pytest.raises(InvalidParameterError, match="need a > 0"):
             CalibConfig(a=a)
 
-    # at the parent max_evals=nan passed the budget check and a calibration of
-    # the snapshot did not return within 60 s, max_evals=50.5 ran, n_moments=4.5
-    # failed only at the first pricing and r=nan raised scipy's own ValueError
+    # a nan budget passes every `<` check, so no evaluation count exhausts it; a
+    # fractional count fails only at the first pricing or not at all; and a nan
+    # r reaches scipy's bounds check as its own ValueError
     @pytest.mark.parametrize("name,value", [
         (name, value) for name in ("r", "a", "start_b", "start_beta", "start_sigma", "start_nu",
                                    "start_d0")

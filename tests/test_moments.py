@@ -494,7 +494,7 @@ def test_moment_arguments_rejected(params_a02, state0, call, name):
 
 
 
-# a bool is an Integral too: at the parent n=True read as one moment
+# a bool is an Integral too, but n=True is no moment count
 @pytest.mark.parametrize("call,name", [
     (lambda p, s: stock_price_moments(p, None, s, 0.0, 1.0, True), "n_moments"),
     (lambda p, s: conditional_moments(p, None, s, 0.0, 1.0, True), "n"),
