@@ -149,15 +149,14 @@ def _term_factors(params, jump, basis):
     without jumps)."""
     if params.d != basis.d:
         raise InvalidParameterError(f"parameters have d={params.d}, the basis d={basis.d}")
-    n = basis.n
-    inv_a = params.a ** -np.arange(max(n, 2) + 1.0)
-    lam_moments = np.zeros(n + 1)
+    inv_a = params.a ** -np.arange(max(basis.n, 2) + 1.0)
+    lam_moments = np.zeros(basis.n + 1)
     if jump is not None and jump.active:
-        lam_moments[2:] = [jump.lam * jump_moment(jump, m) for m in range(2, n + 1)]
+        lam_moments[2:] = [jump.lam * jump_moment(jump, m) for m in range(2, basis.n + 1)]
     return np.concatenate((
         [1.0, params.r], params.b, params.beta.ravel(),
         params.sigma ** 2 * inv_a[:3], np.outer(params.nu ** 2, inv_a[:2]).ravel(),
-        np.outer(lam_moments, inv_a[:n + 1]).ravel(),
+        np.outer(lam_moments, inv_a[:basis.n + 1]).ravel(),
     ))
 
 
@@ -297,9 +296,9 @@ def build_block(params, jump, basis, k):
     return _weigh(basis, k, _term_factors(params, jump, basis)[None])[0]
 
 
-def block_directions(params, jump, basis, degrees):
-    """A pair for each degree k of `degrees`: block k (:func:`build_block`) and
-    a stack of its derivatives in theta = b_1..b_d, beta_kl (row-major), sigma,
+def block_directions(params, jump, basis):
+    """A pair for each degree k = 1..n: block k (:func:`build_block`) and a
+    stack of its derivatives in theta = b_1..b_d, beta_kl (row-major), sigma,
     nu_1..nu_d, in that order: the template weighted by each term factor's
     derivative, 2 sigma/a^q and 2 nu_l/a^q in the diffusion terms and 1 in
     the drift terms.  The jump terms do not depend on theta."""
@@ -314,7 +313,8 @@ def block_directions(params, jump, basis, degrees):
     rows[1 + d + d * d, t_sigma:t_nu] = 2.0 * params.sigma * inv_a
     for l in range(d):
         rows[2 + d + d * d + l, t_nu + 2 * l:t_nu + 2 * l + 2] = 2.0 * params.nu[l] * inv_a[:2]
-    return [(stack[0], stack[1:]) for stack in (_weigh(basis, k, rows) for k in degrees)]
+    stacks = (_weigh(basis, k, rows) for k in range(1, basis.n + 1))
+    return [(stack[0], stack[1:]) for stack in stacks]
 
 
 def eval_basis(basis, state):

@@ -312,8 +312,8 @@ def _power_moment_tangents(params, jump, state, dt, n, window=None):
         lowered[:, 2 + k] = np.maximum(lowered[:, 2 + k] - 1, 0)
         dh.append(basis.exponents[:, 2 + k] * np.prod(point ** lowered, axis=1))
     dh = np.array(dh)
-    out, degrees = [], range(1, n + 1)
-    for k, (block, dirs) in zip(degrees, block_directions(params, jump, basis, degrees)):
+    out = []
+    for k, (block, dirs) in enumerate(block_directions(params, jump, basis), 1):
         f, free = basis.c_free[k], basis.c_free[k].start - basis.blocks[k].start
         row, grad = np.eye(len(block) - free)[0], np.zeros(len(dirs))
         if window is not None:

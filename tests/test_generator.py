@@ -173,8 +173,9 @@ def test_block_directions_are_the_blocks_and_their_derivatives(jump):
     # b and beta enter the block linearly and sigma, nu through their
     # squares, so a central difference is exact up to rounding
     params, basis, h = pinned_params(2), build_basis(2, 6), 1e-4
-    degrees = range(1, 7)
-    for k, (block, dirs) in zip(degrees, block_directions(params, jump, basis, degrees)):
+    pairs = block_directions(params, jump, basis)
+    assert len(pairs) == 6
+    for k, (block, dirs) in enumerate(pairs, 1):
         assert block.tobytes() == build_block(params, jump, basis, k).tobytes()
         assert dirs.shape == (2 * 2 + 2 * 2 + 1,) + block.shape
         theta = np.concatenate((params.b, params.beta.ravel(), [params.sigma], params.nu))
